@@ -11,7 +11,9 @@ import repro.exp.Tables
   *   HC-14: LR 67 SS / 2,342M msgs / 213s   S-V 93 SS /  6,852M msgs / 415s
   *   BI:    LR 60 SS / 6,705M msgs / 239s   S-V 86 SS / 22,958M msgs / 723s
   * Shape to reproduce: LR < S-V on supersteps, messages and runtime, on
-  * every dataset. (GraphX-CC column: capped at 30 iterations — lower bound.)
+  * every dataset. The Path column is the longest unambiguous path ℓ, in
+  * vertices: edge-bound min-label propagation would need at least
+  * ⌈(ℓ−1)/2⌉ iterations to label it, against LR's O(log n) supersteps.
   */
 class Table2Bench extends SparkSpec {
 

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
 import repro.pregel.PregelStats
 
@@ -7,7 +8,7 @@ import repro.pregel.PregelStats
   *
   * Marks every vertex on a maximal unambiguous path (types ⟨1⟩/⟨1-1⟩ only)
   * with a label unique to that path. Contig ends are recognised in two
-  * supersteps via the ⟨m-n⟩ broadcast (GraphX `aggregateMessages`); the
+  * supersteps via the ⟨m-n⟩ broadcast (one `reduceByKey`); the
   * per-path label is then computed either with **bidirectional list
   * ranking** (LR; S-V fallback for ⟨1-1⟩ cycles) or with the **simplified
   * S-V** algorithm over the unambiguous subgraph. LR labels a non-cycle
@@ -22,24 +23,51 @@ object ContigLabeling {
 
   final case class Result(labels: RDD[(Long, Long)], stats: PregelStats)
 
+  /** Contig-end recognition (supersteps 1-2): every ⟨m-n⟩ vertex sends its
+    * ID along each of its edges. Returns, for each vertex that received
+    * any, the set of its ambiguous neighbours' IDs, and the number of
+    * messages sent (the ⟨m-n⟩ vertices' edge total).
+    */
+  def ambiguousNeighbors(nodes: RDD[(Long, Node)]): (RDD[(Long, Set[Long])], Long) = {
+    val received = nodes
+      .flatMap { case (id, n) =>
+        if (n.typ == VType.MN) n.edges.map(e => (e.nbr, Set(id))) else Nil
+      }
+      .reduceByKey(new HashPartitioner(nodes.getNumPartitions), _ ++ _)
+    val msgCount = nodes
+      .filter(_._2.typ == VType.MN)
+      .map(_._2.edges.size.toLong)
+      .fold(0L)(_ + _)
+    (received, msgCount)
+  }
+
+  /** The unambiguous vertices, each with its ambiguous neighbours' IDs
+    * (empty if none), and the end-recognition message count.
+    */
+  private def unambiguousWithEnds(nodes: RDD[(Long, Node)])
+      : (RDD[(Long, (Node, Set[Long]))], Long) = {
+    val (ambNbrs, endMsgs) = ambiguousNeighbors(nodes)
+    val joined = nodes
+      .filter(_._2.typ != VType.MN)
+      .leftOuterJoin(ambNbrs)
+      .mapValues { case (n, amb) => (n, amb.getOrElse(Set.empty[Long])) }
+    (joined, endMsgs)
+  }
+
   /** Initial predecessor pairs (round 0 of Fig. 11) for unambiguous nodes:
     * per side, the neighbour's ID, or the node's flipped ID where the path
     * terminates (no edge, or an ambiguous neighbour).
     */
   def initialPairs(nodes: RDD[(Long, Node)]): (RDD[(Long, ListRanking.LrState)], Long) = {
-    val (ambNbrs, endMsgs) = DbgGraphX.ambiguousNeighbors(nodes)
-    val pairs = nodes
-      .filter(_._2.typ != VType.MN)
-      .leftOuterJoin(ambNbrs)
-      .map { case (id, (n, ambOpt)) =>
-        val amb = ambOpt.getOrElse(Set.empty[Long])
-        def slot(side: Int): Long = n.edgesOn(side) match {
-          case Vector(e) if !amb.contains(e.nbr) => e.nbr
-          case _                                 => Ids.flip(id)
-        }
-        (id, ListRanking.LrState(slot(Side.Left), slot(Side.Right),
-                                 slot(Side.Left), slot(Side.Right)))
+    val (unamb, endMsgs) = unambiguousWithEnds(nodes)
+    val pairs = unamb.map { case (id, (n, amb)) =>
+      def slot(side: Int): Long = n.edgesOn(side) match {
+        case Vector(e) if !amb.contains(e.nbr) => e.nbr
+        case _                                 => Ids.flip(id)
       }
+      (id, ListRanking.LrState(slot(Side.Left), slot(Side.Right),
+                               slot(Side.Left), slot(Side.Right)))
+    }
     (pairs, endMsgs)
   }
 
@@ -70,14 +98,10 @@ object ContigLabeling {
     */
   def labelSV(nodes: RDD[(Long, Node)]): Result = {
     val t0 = System.currentTimeMillis()
-    val (ambNbrs, endMsgs) = DbgGraphX.ambiguousNeighbors(nodes)
-    val adj = nodes
-      .filter(_._2.typ != VType.MN)
-      .leftOuterJoin(ambNbrs)
-      .map { case (id, (n, ambOpt)) =>
-        val amb = ambOpt.getOrElse(Set.empty[Long])
-        (id, n.edges.collect { case e if !amb.contains(e.nbr) => e.nbr }.toArray)
-      }
+    val (unamb, endMsgs) = unambiguousWithEnds(nodes)
+    val adj = unamb.mapValues { case (n, amb) =>
+      n.edges.collect { case e if !amb.contains(e.nbr) => e.nbr }.toArray
+    }
     val (labels, svStats) = SvCC.run(adj)
     Result(labels, PregelStats(
       svStats.supersteps + 2,

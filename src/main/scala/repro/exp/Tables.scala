@@ -50,28 +50,30 @@ object Tables {
 
   // ----------------------------------------------------------- Tables II/III
 
+  /** One labeling run's Table II/III columns. `longestPath` is the largest
+    * LR label group, in vertices (ℓ): edge-bound min-label propagation (the
+    * connected-components algorithm of edge-only vertex-centric engines)
+    * needs between ⌈(ℓ−1)/2⌉ and ℓ−1 iterations to label that path, against
+    * LR's O(log n) supersteps.
+    */
   final case class LabelingRow(dataset: String,
                                lr: PregelStats, sv: PregelStats,
-                               graphxMillis: Long, vertices: Long,
+                               longestPath: Long, vertices: Long,
                                unambiguous: Long)
+
+  /** The size of the largest label group, in vertices (0 if none). */
+  def longestPath(labels: RDD[(Long, Long)]): Long =
+    labels.map { case (_, l) => (l, 1L) }.reduceByKey(_ + _).values.fold(0L)(math.max)
 
   /** One dataset's labeling comparison for a given node graph. */
   def compareLabeling(name: String, nodes: RDD[(Long, Node)]): LabelingRow = {
     val vertices = nodes.count()
     val unamb    = nodes.filter(_._2.typ != VType.MN).count()
     val lr = ContigLabeling.labelLR(nodes)
-    lr.labels.count() // force
+    val pathLen = longestPath(lr.labels) // forces LR
     val sv = ContigLabeling.labelSV(nodes)
     sv.labels.count()
-    // GraphX connectedComponents is min-label propagation: O(path length)
-    // iterations, not O(log n) — the paper's point about GraphX-based
-    // assemblers. We cap it at 30 iterations, so its time is a LOWER BOUND
-    // (it has usually not converged where LR/SV have).
-    val t0 = System.currentTimeMillis()
-    val (gxLabels, _) = DbgGraphX.contigLabelsViaCC(nodes, maxIterations = 30)
-    gxLabels.count()
-    val gxMs = System.currentTimeMillis() - t0
-    LabelingRow(name, lr.stats, sv.stats, gxMs, vertices, unamb)
+    LabelingRow(name, lr.stats, sv.stats, pathLen, vertices, unamb)
   }
 
   /** Per-dataset round-1 (k-mer) and round-2 (contig) labeling rows, plus
@@ -105,9 +107,9 @@ object Tables {
   def printLabelingTable(title: String, rows: Seq[LabelingRow]): String = {
     val sb = new StringBuilder
     sb ++= s"$title\n"
-    sb ++= f"${"Dataset"}%-8s ${"Vtx"}%9s ${"Unamb"}%9s |${"LR SS"}%6s ${"SV SS"}%6s |${"LR Msgs"}%12s ${"SV Msgs"}%12s |${"LR s"}%8s ${"SV s"}%8s ${"GraphX s"}%9s\n"
+    sb ++= f"${"Dataset"}%-8s ${"Vtx"}%9s ${"Unamb"}%9s |${"LR SS"}%6s ${"SV SS"}%6s |${"LR Msgs"}%12s ${"SV Msgs"}%12s |${"LR s"}%8s ${"SV s"}%8s ${"Path"}%9s\n"
     rows.foreach { r =>
-      sb ++= f"${r.dataset}%-8s ${r.vertices}%9d ${r.unambiguous}%9d |${r.lr.supersteps}%6d ${r.sv.supersteps}%6d |${r.lr.messages}%12d ${r.sv.messages}%12d |${r.lr.millis / 1000.0}%8.2f ${r.sv.millis / 1000.0}%8.2f ${r.graphxMillis / 1000.0}%9.2f\n"
+      sb ++= f"${r.dataset}%-8s ${r.vertices}%9d ${r.unambiguous}%9d |${r.lr.supersteps}%6d ${r.sv.supersteps}%6d |${r.lr.messages}%12d ${r.sv.messages}%12d |${r.lr.millis / 1000.0}%8.2f ${r.sv.millis / 1000.0}%8.2f ${r.longestPath}%9d\n"
     }
     sb.toString
   }

@@ -31,12 +31,13 @@ final class VertexContext[M](val superstep: Int, val agg: Long,
 
 /** A Pregel+-substitute vertex-centric BSP engine on Spark RDDs.
   *
-  * Unlike GraphX's Pregel (messages restricted to graph edges), vertices can
-  * message **any vertex ID** — required by pointer-jumping algorithms (list
-  * ranking, S-V) where message targets are pointers, not edges. Semantics
-  * follow Pregel [11]: all vertices are active at superstep 0; a vertex that
-  * votes to halt is reactivated by an incoming message; the run terminates
-  * when every vertex has halted and no messages are in flight.
+  * Unlike edge-bound Pregel APIs (messages only along graph edges),
+  * vertices can message **any vertex ID** — required by pointer-jumping
+  * algorithms (list ranking, S-V) where message targets are pointers, not
+  * edges. Semantics follow Pregel [11]: all vertices are active at
+  * superstep 0; a vertex that votes to halt is reactivated by an incoming
+  * message; the run terminates when every vertex has halted and no
+  * messages are in flight.
   *
   * Each superstep is one cogroup of (state, messages) on a fixed
   * HashPartitioner; the stepped RDD is cached and the previous one

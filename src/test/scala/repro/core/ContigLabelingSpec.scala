@@ -1,13 +1,47 @@
 package repro.core
 
+import org.apache.spark.rdd.RDD
+import org.scalacheck.{Gen, Prop, Test => Check}
+import org.scalacheck.rng.Seed
 import repro.SparkSpec
 import repro.dna.Dna
+import repro.exp.Tables
 
 class ContigLabelingSpec extends SparkSpec {
 
   val k = 15
 
   def labelsOf(r: ContigLabeling.Result): Map[Long, Long] = r.labels.collect().toMap
+
+  /** Random genomes: length, repeat count and repeat length drawn. */
+  val genomes: Gen[(Dna.GenomeSpec, Long)] = for {
+    len     <- Gen.choose(300, 1500)
+    nLong   <- Gen.choose(0, 6)
+    longLen <- Gen.choose(30, 120)
+    nShort  <- Gen.choose(0, 3)
+    seed    <- Gen.choose(0L, 1000000L)
+  } yield (Dna.GenomeSpec(len, longRepeats = nLong, longRepeatLen = longLen,
+                          shortRepeats = nShort, shortRepeatLen = 20), seed)
+
+  /** Check `body` on `n` random genomes' DBGs (no shrinking: each case
+    * runs Spark jobs).
+    */
+  def forRandomGraphs(n: Int, seed: Long)(body: RDD[(Long, Node)] => Unit): Unit = {
+    var ambiguousCases = 0
+    val prop = Prop.forAllNoShrink(genomes) { case (spec, gSeed) =>
+      val g  = Dna.genome(spec, gSeed)
+      val ns = TestGraphs.nodes(spark, TestGraphs.perfectReads(g, 40, k), k).cache()
+      try {
+        if (ns.filter(_._2.typ == VType.MN).count() > 0) ambiguousCases += 1
+        body(ns)
+      } finally ns.unpersist()
+      Prop.passed
+    }
+    val params = Check.Parameters.default.withMinSuccessfulTests(n).withInitialSeed(Seed(seed))
+    val result = Check.check(params, prop)
+    assert(result.passed, result.status)
+    assert(ambiguousCases > 0, "no random genome had an ambiguous vertex")
+  }
 
   test("repeat-free genome: every unambiguous vertex gets one shared label (LR)") {
     val g  = Dna.genome(Dna.GenomeSpec(300, longRepeats = 0, shortRepeats = 0), 1)
@@ -42,12 +76,47 @@ class ContigLabelingSpec extends SparkSpec {
     assert(TestGraphs.samePartition(lr, sv))
   }
 
-  test("LR/SV partitions also match GraphX connectedComponents") {
+  test("LR/SV partitions also match union-find components") {
     val g = Dna.genome(Dna.GenomeSpec(1200, longRepeats = 5, longRepeatLen = 80), 6)
     val ns = TestGraphs.nodes(spark, TestGraphs.perfectReads(g, 40, k), k).cache()
-    val lr = labelsOf(ContigLabeling.labelLR(ns))
-    val (gx, _) = DbgGraphX.contigLabelsViaCC(ns)
-    assert(TestGraphs.samePartition(lr, gx.collect().toMap))
+    val uf = TestGraphs.unambiguousComponents(ns)
+    assert(TestGraphs.samePartition(labelsOf(ContigLabeling.labelLR(ns)), uf))
+    assert(TestGraphs.samePartition(labelsOf(ContigLabeling.labelSV(ns)), uf))
+  }
+
+  test("property: LR, S-V and union-find induce the same partition on random genomes") {
+    forRandomGraphs(4, seed = 2018) { ns =>
+      val uf = TestGraphs.unambiguousComponents(ns)
+      assert(TestGraphs.samePartition(labelsOf(ContigLabeling.labelLR(ns)), uf), "LR")
+      assert(TestGraphs.samePartition(labelsOf(ContigLabeling.labelSV(ns)), uf), "S-V")
+    }
+  }
+
+  /** Every vertex receives exactly its ⟨m-n⟩ neighbours' IDs, and the
+    * message count is the ⟨m-n⟩ vertices' edge total.
+    */
+  def assertExactEndDelivery(ns: RDD[(Long, Node)]): Unit = {
+    val nodes = ns.collect().toMap
+    val mn = nodes.filter(_._2.typ == VType.MN).keySet
+    val (recv, msgCount) = ContigLabeling.ambiguousNeighbors(ns)
+    val got = recv.collect().toMap
+    for ((id, n) <- nodes) {
+      val expect = n.edges.map(_.nbr).filter(mn.contains).toSet
+      assert(got.getOrElse(id, Set.empty) == expect, s"vertex $id")
+    }
+    assert(got.keySet.subsetOf(nodes.keySet))
+    assert(msgCount == mn.toSeq.map(nodes(_).edges.size.toLong).sum)
+  }
+
+  test("ambiguousNeighbors delivers exactly the MN-adjacent IDs") {
+    val g = Dna.genome(Dna.GenomeSpec(1200, longRepeats = 4, longRepeatLen = 80), 43)
+    val ns = TestGraphs.nodes(spark, TestGraphs.perfectReads(g, 40, k), k).cache()
+    assert(ns.filter(_._2.typ == VType.MN).count() > 0, "genome should have ambiguity")
+    assertExactEndDelivery(ns)
+  }
+
+  test("property: contig-end recognition is exact on random genomes") {
+    forRandomGraphs(6, seed = 43)(assertExactEndDelivery)
   }
 
   test("ambiguous vertices receive no label") {
@@ -80,6 +149,11 @@ class ContigLabelingSpec extends SparkSpec {
     val logN = 64 - java.lang.Long.numberOfLeadingZeros(n)
     assert(res.stats.supersteps <= 2 * (logN + 3) + 2,
            s"supersteps=${res.stats.supersteps} for n=$n")
+    // Table II's path column: the one path has ℓ = n vertices, on which
+    // min-label propagation needs at least ⌈(ℓ−1)/2⌉ = ⌊ℓ/2⌋ iterations.
+    val pathLen = Tables.longestPath(res.labels)
+    assert(pathLen == n, "a repeat-free genome is one path")
+    assert(pathLen / 2 > res.stats.supersteps, s"ℓ=$pathLen vs LR supersteps")
   }
 
   test("initialPairs flips terminal sides and keeps unambiguous neighbours") {

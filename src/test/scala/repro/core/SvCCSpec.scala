@@ -42,19 +42,14 @@ class SvCCSpec extends SparkSpec {
     assert(labels.values.toSet == Set(1L))
   }
 
-  test("matches GraphX connectedComponents on random graphs") {
-    import org.apache.spark.graphx.{Edge => GxEdge, Graph}
+  test("matches union-find components on random graphs") {
     val rnd = new Random(77)
     for (trial <- 1 to 3) {
       val n = 40 + rnd.nextInt(40)
       val edges = (1 to n).map(_ =>
         (1L + rnd.nextInt(n), 1L + rnd.nextInt(n))).filter(e => e._1 != e._2)
       val ours = sv(n.toLong, edges)
-      val g = Graph(
-        spark.sparkContext.parallelize((1L to n.toLong).map(i => (i, ()))),
-        spark.sparkContext.parallelize(edges.map { case (a, b) => GxEdge(a, b, ()) }))
-      val gx = g.connectedComponents().vertices.collect().toMap
-      assert(ours == gx.map { case (k, v) => (k, v) }, s"trial $trial n=$n")
+      assert(ours == TestGraphs.components(1L to n.toLong, edges), s"trial $trial n=$n")
     }
   }
 

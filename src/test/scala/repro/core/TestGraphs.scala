@@ -43,6 +43,37 @@ object TestGraphs {
     }
   }
 
+  /** Connected components by union-find, each vertex labelled with the
+    * smallest ID in its component. Edges with an end outside `vertices`
+    * are ignored.
+    */
+  def components(vertices: Iterable[Long], edges: Iterable[(Long, Long)]): Map[Long, Long] = {
+    val parent = scala.collection.mutable.HashMap.empty[Long, Long]
+    vertices.foreach(v => parent(v) = v)
+    def find(v: Long): Long = {
+      var root = v
+      while (parent(root) != root) root = parent(root)
+      var x = v
+      while (x != root) { val next = parent(x); parent(x) = root; x = next }
+      root
+    }
+    for ((a, b) <- edges if parent.contains(a) && parent.contains(b)) {
+      val (ra, rb) = (find(a), find(b))
+      if (ra < rb) parent(rb) = ra else if (rb < ra) parent(ra) = rb
+    }
+    parent.keys.map(v => (v, find(v))).toMap
+  }
+
+  /** Exact contig-labeling oracle: the components of the subgraph of
+    * unambiguous (non-⟨m-n⟩) vertices and the edges between two of them.
+    * A ⟨1⟩ or ⟨1-1⟩ vertex has at most one edge per side, so these
+    * components are exactly the maximal unambiguous paths (and cycles).
+    */
+  def unambiguousComponents(nodes: RDD[(Long, Node)]): Map[Long, Long] = {
+    val unamb = nodes.filter(_._2.typ != VType.MN).collect()
+    components(unamb.map(_._1), unamb.flatMap { case (id, n) => n.edges.map(e => (id, e.nbr)) })
+  }
+
   /** Build a symmetric manual node graph from undirected typed edges.
     *
     * Each edge is (idA, sideA, idB, sideB, cov); node sequences are given

@@ -17,11 +17,12 @@ class TablesSpec extends AnyFunSuite {
   test("printLabelingTable renders stats columns") {
     val row = Tables.LabelingRow("BI",
       PregelStats(23, 15973779L, 37200L), PregelStats(39, 32961935L, 43430L),
-      graphxMillis = 12010L, vertices = 671419L, unambiguous = 665408L)
+      longestPath = 48213L, vertices = 671419L, unambiguous = 665408L)
     val out = Tables.printLabelingTable("T", Seq(row))
     assert(out.contains("BI"))
     assert(out.contains("23") && out.contains("39"))
     assert(out.contains("15973779") && out.contains("32961935"))
+    assert(out.contains("Path") && out.contains("48213"))
   }
 
   test("printQualityTable renders reference metrics only when asked") {
