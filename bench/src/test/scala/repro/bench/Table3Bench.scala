@@ -36,6 +36,6 @@ class Table3Bench extends SparkSpec {
     // report the merge-round vertex counts (EXPERIMENTS.md in-text numbers)
     println("Vertex counts across merge rounds (DBG -> round-2 graph -> final contigs):")
     pairs.foreach(p => println(
-      f"  ${p.round1.dataset}%-6s ${p.dbgVertices}%10d -> ${p.round2.vertices}%9d -> ${p.finalContigs}%8d"))
+      f"  ${p.round1.dataset}%-6s ${p.round1.vertices}%10d -> ${p.round2.vertices}%9d -> ${p.finalContigs}%8d"))
   }
 }

@@ -24,20 +24,12 @@ object Table1Job {
   }
 }
 
-/** Table II -- LR vs S-V for labeling unambiguous k-mers. */
+/** Table II -- LR vs S-V for labeling unambiguous k-mers (round 1). */
 object Table2Job {
   def main(args: Array[String]): Unit = {
     val spark = JobSpark.session("table2")
-    val rows = Datasets.all.map { ds =>
-      val reads = ds.reads(spark).cache()
-      val nodes = repro.core.DbgConstruction
-        .nodes(repro.core.DbgConstruction.build(reads, Tables.K, Tables.Theta), Tables.K)
-        .cache()
-      val row = Tables.compareLabeling(ds.name, nodes)
-      reads.unpersist(); nodes.unpersist()
-      row
-    }
-    println(Tables.printLabelingTable("Table II -- LR vs S-V, labeling unambiguous k-mers", rows))
+    val pairs = Datasets.all.map(ds => Tables.labelingPair(spark, ds))
+    println(Tables.printLabelingTable("Table II -- LR vs S-V, labeling unambiguous k-mers", pairs.map(_.round1)))
     spark.stop()
   }
 }

@@ -22,15 +22,21 @@ object Assembler {
       dropDanglingShort: Boolean = true,
   )
 
+  /** One labeling round: the graph it labeled (cached) and its labeling. */
+  final case class Round(graph: RDD[(Long, Node)], labeling: ContigLabeling.Result)
+
   final case class Result(
       finalContigs: RDD[(Long, Node)],
       round1Contigs: RDD[(Long, Node)],
       dbgVertices: Long,          // k-mer vertices in the DBG
       graph2Vertices: Long,       // vertices entering round-2 labeling
-      labeling1: PregelStats,
-      labeling2: Option[PregelStats],
+      round1: Round,              // the k-mer graph
+      round2: Option[Round],      // the mixed contig/k-mer graph
       tipStats: Option[PregelStats],
   ) {
+    def labeling1: PregelStats = round1.labeling.stats
+    def labeling2: Option[PregelStats] = round2.map(_.labeling.stats)
+
     /** Final contig sequences as strings. */
     def sequences: RDD[String] = finalContigs.map(_._2.seq.toString)
   }
@@ -53,7 +59,7 @@ object Assembler {
       .persist(StorageLevel.MEMORY_AND_DISK)
 
     if (!opts.errorCorrection) {
-      Result(contigs1, contigs1, dbgVertices, 0L, lab1.stats, None, None)
+      Result(contigs1, contigs1, dbgVertices, 0L, Round(nodes, lab1), None, None)
     } else {
       // ④ bubble filtering, ⑤ tip removing.
       val bubbled = BubbleFiltering.filter(contigs1, opts.bubbleEditThr)
@@ -68,7 +74,7 @@ object Assembler {
         .persist(StorageLevel.MEMORY_AND_DISK)
 
       Result(contigs2, contigs1, dbgVertices, graph2Vertices,
-             lab1.stats, Some(lab2.stats), Some(tip.stats))
+             Round(nodes, lab1), Some(Round(nodes2, lab2)), Some(tip.stats))
     }
   }
 }

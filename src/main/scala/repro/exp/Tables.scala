@@ -1,7 +1,7 @@
 package repro.exp
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.baselines.{AbyssLike, RayLike, SwapLike}
 import repro.core._
 import repro.dna.Datasets
@@ -14,14 +14,17 @@ import repro.quality.Quast
   */
 object Tables {
 
-  val K = 31            // paper §V
-  val Theta = 1L        // DESIGN.md §6
-  val TipLen = 80       // paper §V
-  val BubbleThr = 5     // paper §V
-
-  def ppaOpts(method: ContigLabeling.Method = ContigLabeling.LR): Assembler.Opts =
-    Assembler.Opts(k = K, theta = Theta, tipLen = TipLen, bubbleEditThr = BubbleThr,
-                   method = method)
+  /** Runs `work`, then unpersists every RDD it left cached (the assemblies'
+    * graphs, contigs and last Pregel states), so that one dataset's blocks
+    * do not stay in the block manager while the next one runs.
+    */
+  private def freeingCached[A](spark: SparkSession)(work: => A): A = {
+    val before = spark.sparkContext.getPersistentRDDs.keySet
+    try work
+    finally spark.sparkContext.getPersistentRDDs.foreach { case (id, rdd) =>
+      if (!before.contains(id)) rdd.unpersist(blocking = false)
+    }
+  }
 
   // ------------------------------------------------------------------ Table I
 
@@ -65,43 +68,32 @@ object Tables {
   def longestPath(labels: RDD[(Long, Long)]): Long =
     labels.map { case (_, l) => (l, 1L) }.reduceByKey(_ + _).values.fold(0L)(math.max)
 
-  /** One dataset's labeling comparison for a given node graph. */
-  def compareLabeling(name: String, nodes: RDD[(Long, Node)]): LabelingRow = {
-    val vertices = nodes.count()
-    val unamb    = nodes.filter(_._2.typ != VType.MN).count()
-    val lr = ContigLabeling.labelLR(nodes)
-    val pathLen = longestPath(lr.labels) // forces LR
-    val sv = ContigLabeling.labelSV(nodes)
+  /** One labeling round's row. LR's labels and counters are the
+    * assembly's own; S-V runs here, once, on the same graph.
+    */
+  def compareLabeling(name: String, round: Assembler.Round): LabelingRow = {
+    val vertices = round.graph.count()
+    val unamb    = round.graph.filter(_._2.typ != VType.MN).count()
+    val sv = ContigLabeling.labelSV(round.graph)
     sv.labels.count()
-    LabelingRow(name, lr.stats, sv.stats, pathLen, vertices, unamb)
+    LabelingRow(name, round.labeling.stats, sv.stats, longestPath(round.labeling.labels),
+                vertices, unamb)
   }
 
   /** Per-dataset round-1 (k-mer) and round-2 (contig) labeling rows, plus
-    * the merge-round vertex counts reported in the paper's §V text.
+    * the merge-round contig counts reported in the paper's §V text.
     */
   final case class LabelingPair(round1: LabelingRow, round2: LabelingRow,
-                                dbgVertices: Long, round1Contigs: Long,
-                                finalContigs: Long)
+                                round1Contigs: Long, finalContigs: Long)
 
-  def labelingPair(spark: SparkSession, ds: DnaDataset): LabelingPair = {
-    val reads = ds.reads(spark).cache()
-    val nodes = DbgConstruction.nodes(DbgConstruction.build(reads, K, Theta), K).cache()
-    val row1  = compareLabeling(ds.name, nodes)
-
-    // Build the round-2 graph with the standard PPA pipeline (LR labels).
-    val mergeOpts = ContigMerging.Opts(K, dropDanglingShort = true, TipLen)
-    val lab1 = ContigLabeling.labelLR(nodes)
-    val contigs1 = ContigMerging.merge(nodes, lab1.labels, mergeOpts).cache()
-    val bubbled  = BubbleFiltering.filter(contigs1, BubbleThr)
-    val amb      = nodes.filter(_._2.typ == VType.MN)
-    val nodes2   = TipRemoving.run(amb, bubbled, K, TipLen).nodes.cache()
-    val row2     = compareLabeling(ds.name, nodes2)
-
-    val lab2   = ContigLabeling.labelLR(nodes2)
-    val finalC = ContigMerging.merge(nodes2, lab2.labels, mergeOpts).count()
-    val pair = LabelingPair(row1, row2, nodes.count(), contigs1.count(), finalC)
-    reads.unpersist(); nodes.unpersist(); contigs1.unpersist(); nodes2.unpersist()
-    pair
+  /** One PPA assembly with the paper's parameters (LR labeling), whose two
+    * labeling rounds fill the LR columns of Tables II and III.
+    */
+  def labelingPair(spark: SparkSession, ds: DnaDataset): LabelingPair = freeingCached(spark) {
+    val res = Assembler.assemble(ds.reads(spark), Assembler.Opts())
+    LabelingPair(compareLabeling(ds.name, res.round1),
+                 compareLabeling(ds.name, res.round2.get),
+                 res.round1Contigs.count(), res.finalContigs.count())
   }
 
   def printLabelingTable(title: String, rows: Seq[LabelingRow]): String = {
@@ -120,19 +112,20 @@ object Tables {
                               n50Round1: Long = 0L, n50Final: Long = 0L)
 
   def runAllAssemblers(spark: SparkSession, ds: DnaDataset,
-                       reference: Option[String]): Seq[QualityRow] = {
+                       reference: Option[String]): Seq[QualityRow] = freeingCached(spark) {
     val reads = ds.reads(spark).cache()
+    val opts  = Assembler.Opts()
     def eval(name: String, r: Assembler.Result): QualityRow = {
-      def n50of(c: org.apache.spark.rdd.RDD[(Long, Node)]) =
+      def n50of(c: RDD[(Long, Node)]) =
         Quast.n50(c.values.map(_.seqLen.toLong).filter(_ >= 500).collect().toSeq)
-      QualityRow(name, Quast.evaluate(r.sequences, reference, K),
+      QualityRow(name, Quast.evaluate(r.sequences, reference, opts.k),
                  n50Round1 = n50of(r.round1Contigs), n50Final = n50of(r.finalContigs))
     }
     val rows = Seq(
-      eval("PPA",   Assembler.assemble(reads, ppaOpts())),
-      eval("ABySS", AbyssLike.assemble(reads, ppaOpts())),
-      eval("Ray",   RayLike.assemble(reads, ppaOpts())),
-      eval("SWAP",  SwapLike.assemble(reads, ppaOpts())),
+      eval("PPA",   Assembler.assemble(reads, opts)),
+      eval("ABySS", AbyssLike.assemble(reads, opts)),
+      eval("Ray",   RayLike.assemble(reads, opts)),
+      eval("SWAP",  SwapLike.assemble(reads, opts)),
     )
     reads.unpersist()
     rows

@@ -42,11 +42,14 @@ final class VertexContext[M](val superstep: Int, val agg: Long,
   * Each superstep is one cogroup of (state, messages) on a fixed
   * HashPartitioner; the stepped RDD is cached and the previous one
   * unpersisted; lineage is cut with localCheckpoint every
-  * `checkpointEvery` supersteps (pointer jumping otherwise builds
-  * O(supersteps)-deep lineage). Messages to unknown vertex IDs are dropped
+  * `CheckpointEvery` supersteps (pointer jumping otherwise builds
+  * O(supersteps)-deep lineage), and the newest checkpoint stays cached
+  * until a newer one is materialized. Messages to unknown vertex IDs are dropped
   * (the paper's algorithms never create vertices dynamically).
   */
 object PregelRuntime {
+
+  private val CheckpointEvery = 12
 
   /** Per-superstep observation for early-stop hooks. */
   final case class StepInfo(superstep: Int, activeVertices: Long, messages: Long, agg: Long)
@@ -58,7 +61,6 @@ object PregelRuntime {
     *
     * @param vertices initial vertex states
     * @param compute  (ctx, id, state, messages) => new state; send/halt via ctx
-    * @param combiner optional commutative-associative message combiner
     * @param stopWhen early-stop predicate evaluated after each superstep
     *                 (e.g. list ranking's cycle detection)
     * @return final states and run statistics
@@ -66,20 +68,21 @@ object PregelRuntime {
   def run[V: ClassTag, M: ClassTag](
       vertices: RDD[(Long, V)],
       compute: (VertexContext[M], Long, V, Seq[M]) => V,
-      combiner: Option[(M, M) => M] = None,
       stopWhen: StepInfo => Boolean = _ => false,
       maxSupersteps: Int = 100000,
-      checkpointEvery: Int = 12,
   ): (RDD[(Long, V)], PregelStats) = {
     val t0 = System.currentTimeMillis()
     val sc = vertices.sparkContext
     val partitioner = new HashPartitioner(math.max(1, vertices.getNumPartitions))
 
-    var state: RDD[(Long, (V, Boolean))] =
+    val initial: RDD[(Long, (V, Boolean))] =
       vertices.mapValues(v => (v, false)).partitionBy(partitioner).cache()
+    var state     = initial
     var msgs: RDD[(Long, M)] = sc.emptyRDD[(Long, M)].partitionBy(partitioner)
     var prevStepped: RDD[(Long, Step[V, M])] = null
-    var prevState = state
+    // The live state descends from the newest materialized checkpoint, and
+    // a locally checkpointed RDD cannot be recomputed once unpersisted.
+    var checkpointed: RDD[(Long, Step[V, M])] = null
     var superstep = 0
     var totalMsgs = 0L
     var agg       = 0L
@@ -87,17 +90,13 @@ object PregelRuntime {
 
     while (!done) {
       require(superstep < maxSupersteps, s"Pregel did not terminate in $maxSupersteps supersteps")
-      val combined: RDD[(Long, Seq[M])] = combiner match {
-        case Some(c) => msgs.reduceByKey(partitioner, c).mapValues(Seq(_))
-        case None    => msgs.groupByKey(partitioner).mapValues(_.toSeq)
-      }
       val step  = superstep
       val aggIn = agg
       val fn    = compute
       val stepped: RDD[(Long, Step[V, M])] =
-        state.cogroup(combined, partitioner).flatMap { case (id, (vs, ms)) =>
+        state.cogroup(msgs, partitioner).flatMap { case (id, (vs, ms)) =>
           vs.headOption.map { case (v, halted) =>
-            val inbox = ms.flatten.toSeq
+            val inbox = ms.toSeq
             if (halted && inbox.isEmpty && step > 0) (id, Step[V, M](v, true, Nil, 0L))
             else {
               val out = new ArrayBuffer[(Long, M)]()
@@ -108,7 +107,8 @@ object PregelRuntime {
           }
         }
       val persisted = stepped.cache()
-      if (superstep > 0 && superstep % checkpointEvery == 0) persisted.localCheckpoint()
+      val checkpoint = superstep > 0 && superstep % CheckpointEvery == 0
+      if (checkpoint) persisted.localCheckpoint()
 
       val (msgCount, aggSum, activeCount) = persisted
         .map { case (_, s) => (s.out.size.toLong, s.agg, if (s.halted) 0L else 1L) }
@@ -121,10 +121,13 @@ object PregelRuntime {
         .flatMap { case (_, s) => s.out }
         .partitionBy(partitioner)
 
-      if (prevStepped != null) prevStepped.unpersist(blocking = false)
-      prevState.unpersist(blocking = false)
+      if (superstep == 0) initial.unpersist(blocking = false)
+      if (prevStepped != null && (prevStepped ne checkpointed)) prevStepped.unpersist(blocking = false)
+      if (checkpoint) {
+        if (checkpointed != null) checkpointed.unpersist(blocking = false)
+        checkpointed = persisted
+      }
       prevStepped = persisted
-      prevState   = nextState
       state       = nextState
       msgs        = nextMsgs
       superstep += 1

@@ -1,10 +1,12 @@
 package repro.exp
 
-import org.scalatest.funsuite.AnyFunSuite
+import repro.SparkSpec
+import repro.core.{Assembler, ContigLabeling, TestGraphs}
+import repro.dna.Datasets
 import repro.pregel.PregelStats
 import repro.quality.Quast
 
-class TablesSpec extends AnyFunSuite {
+class TablesSpec extends SparkSpec {
 
   test("printTable1 renders one row per dataset") {
     val out = Tables.printTable1(Seq(
@@ -37,11 +39,28 @@ class TablesSpec extends AnyFunSuite {
   }
 
   test("paper parameter defaults are wired through") {
-    assert(Tables.K == 31)
-    assert(Tables.TipLen == 80)
-    assert(Tables.BubbleThr == 5)
-    val o = Tables.ppaOpts()
-    assert(o.k == 31 && o.tipLen == 80 && o.bubbleEditThr == 5 && o.errorCorrection)
+    val o = Assembler.Opts()
+    assert(o.k == 31 && o.theta == 1L && o.tipLen == 80 && o.bubbleEditThr == 5)
+    assert(o.method == ContigLabeling.LR && o.errorCorrection)
+  }
+
+  test("labelingPair reports the assembly's own round-1 LR run") {
+    // Datasets.HC2's recipe on an 8 kb genome at the same 20x coverage.
+    val ds = Datasets.HC2.copy(
+      genomeSpec = Datasets.HC2.genomeSpec.copy(length = 8000, longRepeats = 1, shortRepeats = 2),
+      readSpec = Datasets.HC2.readSpec.copy(nReads = 1600))
+    val pair = Tables.labelingPair(spark, ds)
+
+    val nodes = TestGraphs.nodes(spark, ds.reads(spark).collect().toSeq, k = 31, theta = 1).cache()
+    val lr = ContigLabeling.labelLR(nodes)
+    val groups = lr.labels.values.collect().groupBy(identity).values.map(_.length)
+    val r1 = pair.round1
+    assert(r1.lr.supersteps == lr.stats.supersteps && r1.lr.messages == lr.stats.messages)
+    assert(r1.vertices == nodes.count())
+    assert(pair.round2.vertices < r1.vertices)
+    assert(r1.longestPath == groups.max)
+    assert(r1.sv.supersteps > 0 && pair.round2.lr.supersteps > 0)
+    nodes.unpersist()
   }
 
   test("PregelStats accumulate with +") {

@@ -40,18 +40,6 @@ class PregelRuntimeSpec extends SparkSpec {
     assert(stats.messages == n - 1)
   }
 
-  test("message combiner reduces inbox to a single message") {
-    val vs = spark.sparkContext.parallelize((1L to 10L).map(i => (i, -1L)), 2)
-    val (out, _) = PregelRuntime.run[Long, Long](vs,
-      (ctx, id, v, msgs) => {
-        if (ctx.superstep == 0) { ctx.send(3L, id); v }
-        else if (msgs.nonEmpty) { assert(msgs.size == 1); msgs.head }
-        else v
-      },
-      combiner = Some(math.max))
-    assert(out.collect().toMap.apply(3L) == 10L)
-  }
-
   test("aggregator sums contributions and is visible next superstep") {
     val vs = spark.sparkContext.parallelize((1L to 5L).map(i => (i, 0L)), 2)
     val (out, _) = PregelRuntime.run[Long, Long](vs,
@@ -111,15 +99,34 @@ class PregelRuntimeSpec extends SparkSpec {
     assert(stats.supersteps <= 8)
   }
 
-  test("long chains do not overflow lineage (localCheckpoint kicks in)") {
+  /** Two vertices passing a counter back and forth for 41 supersteps, so
+    * that the run crosses three local checkpoints (every 12 supersteps).
+    */
+  private def pingPong() = {
     val vs = spark.sparkContext.parallelize(Seq((1L, 0L), (2L, 0L)), 1)
-    val (out, stats) = PregelRuntime.run[Long, Long](vs,
+    PregelRuntime.run[Long, Long](vs,
       (ctx, id, v, msgs) => {
         if (v < 40) { ctx.send(3L - id, v + 1); v + 1 } else v
-      },
-      checkpointEvery = 5)
+      })
+  }
+
+  test("long chains do not overflow lineage (localCheckpoint kicks in)") {
+    val (out, stats) = pingPong()
     assert(stats.supersteps >= 40)
     assert(out.collect().forall(_._2 >= 40L))
+  }
+
+  test("the final state survives eviction of every cached block but the last checkpoint") {
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.keySet
+    val (out, stats) = pingPong()
+    assert(stats.supersteps == 41)
+    val persisted = sc.getPersistentRDDs.filter { case (id, _) => !before.contains(id) }.values
+    assert(persisted.exists(_.isCheckpointed), "the run keeps its newest checkpoint cached")
+    // Simulated eviction: drop every block that lineage can recompute.
+    persisted.filterNot(_.isCheckpointed).foreach(_.unpersist(blocking = true))
+    assert(out.collect().toMap == Map(1L -> 40L, 2L -> 40L))
+    persisted.foreach(_.unpersist(blocking = true))
   }
 }
 
