@@ -2,6 +2,7 @@ package repro.pregel
 
 import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
+import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 import scala.reflect.ClassTag
 
@@ -39,13 +40,20 @@ final class VertexContext[M](val superstep: Int, val agg: Long,
   * message; the run terminates when every vertex has halted and no
   * messages are in flight.
   *
-  * Each superstep is one cogroup of (state, messages) on a fixed
-  * HashPartitioner; the stepped RDD is cached and the previous one
-  * unpersisted; lineage is cut with localCheckpoint every
-  * `CheckpointEvery` supersteps (pointer jumping otherwise builds
-  * O(supersteps)-deep lineage), and the newest checkpoint stays cached
-  * until a newer one is materialized. Messages to unknown vertex IDs are dropped
-  * (the paper's algorithms never create vertices dynamically).
+  * As in Pregel+ and GraphX, vertex state stays on its partition and only
+  * messages travel. The run places the vertices once, at superstep 0, with
+  * one `HashPartitioner(sc.defaultParallelism)` (whatever the input's
+  * partition count); each superstep then zips every state partition with
+  * its partition of the messages (`zipPartitions`, the messages
+  * `partitionBy` the same partitioner) and computes from a per-partition
+  * inbox map. A stepped partition is cached as one [[Part]] holding its
+  * vertices' states, halt votes and outbox; the previous superstep's is
+  * unpersisted. Lineage is cut with localCheckpoint every `CheckpointEvery`
+  * supersteps (pointer jumping otherwise builds O(supersteps)-deep
+  * lineage), and the newest checkpoint stays cached until a newer one is
+  * materialized: an evicted partition above it can only be recomputed from
+  * it. Messages to unknown vertex IDs are dropped (the paper's algorithms
+  * never create vertices dynamically).
   */
 object PregelRuntime {
 
@@ -54,8 +62,14 @@ object PregelRuntime {
   /** Per-superstep observation for early-stop hooks. */
   final case class StepInfo(superstep: Int, activeVertices: Long, messages: Long, agg: Long)
 
-  private final case class Step[V, M](state: V, halted: Boolean,
-                                      out: Seq[(Long, M)], agg: Long)
+  /** One partition's vertices after a superstep: IDs, states and halt
+    * votes side by side, the messages they sent, and the partition's share
+    * of the superstep's aggregator and active-vertex count.
+    */
+  private final class Part[V, M](
+      val ids: Array[Long], val states: Array[V], val halted: Array[Boolean],
+      val out: ArrayBuffer[(Long, M)], val agg: Long, val active: Long)
+      extends Serializable
 
   /** Run a Pregel program.
     *
@@ -63,7 +77,8 @@ object PregelRuntime {
     * @param compute  (ctx, id, state, messages) => new state; send/halt via ctx
     * @param stopWhen early-stop predicate evaluated after each superstep
     *                 (e.g. list ranking's cycle detection)
-    * @return final states and run statistics
+    * @return final states (partitioned by the run's partitioner) and run
+    *         statistics
     */
   def run[V: ClassTag, M: ClassTag](
       vertices: RDD[(Long, V)],
@@ -73,16 +88,18 @@ object PregelRuntime {
   ): (RDD[(Long, V)], PregelStats) = {
     val t0 = System.currentTimeMillis()
     val sc = vertices.sparkContext
-    val partitioner = new HashPartitioner(math.max(1, vertices.getNumPartitions))
+    val partitioner = new HashPartitioner(sc.defaultParallelism)
 
-    val initial: RDD[(Long, (V, Boolean))] =
-      vertices.mapValues(v => (v, false)).partitionBy(partitioner).cache()
-    var state     = initial
+    var state: RDD[Part[V, M]] =
+      vertices.partitionBy(partitioner).mapPartitions({ it =>
+        val (ids, states) = it.toArray.unzip
+        Iterator(new Part[V, M](ids, states, new Array[Boolean](ids.length),
+                                ArrayBuffer.empty, 0L, ids.length.toLong))
+      }, preservesPartitioning = true)
     var msgs: RDD[(Long, M)] = sc.emptyRDD[(Long, M)].partitionBy(partitioner)
-    var prevStepped: RDD[(Long, Step[V, M])] = null
     // The live state descends from the newest materialized checkpoint, and
     // a locally checkpointed RDD cannot be recomputed once unpersisted.
-    var checkpointed: RDD[(Long, Step[V, M])] = null
+    var checkpointed: RDD[Part[V, M]] = null
     var superstep = 0
     var totalMsgs = 0L
     var agg       = 0L
@@ -93,48 +110,61 @@ object PregelRuntime {
       val step  = superstep
       val aggIn = agg
       val fn    = compute
-      val stepped: RDD[(Long, Step[V, M])] =
-        state.cogroup(msgs, partitioner).flatMap { case (id, (vs, ms)) =>
-          vs.headOption.map { case (v, halted) =>
-            val inbox = ms.toSeq
-            if (halted && inbox.isEmpty && step > 0) (id, Step[V, M](v, true, Nil, 0L))
-            else {
-              val out = new ArrayBuffer[(Long, M)]()
-              val ctx = new VertexContext[M](step, aggIn, out)
-              val nv  = fn(ctx, id, v, inbox)
-              (id, Step(nv, ctx.halt, out.toSeq, ctx.aggValue))
-            }
-          }
+      val stepped = state.zipPartitions(msgs, preservesPartitioning = true) { (parts, inbound) =>
+        val prev  = parts.next()
+        val inbox = new mutable.LongMap[List[M]]()
+        inbound.foreach { case (id, m) =>
+          val ms = inbox.getOrNull(id)
+          inbox.update(id, if (ms == null) m :: Nil else m :: ms)
         }
+        val n       = prev.ids.length
+        val states  = new Array[V](n)
+        val halted  = new Array[Boolean](n)
+        val out     = new ArrayBuffer[(Long, M)]()
+        var partAgg = 0L
+        var active  = 0L
+        var i = 0
+        while (i < n) {
+          val ms = inbox.getOrNull(prev.ids(i))
+          if (prev.halted(i) && ms == null) {
+            states(i) = prev.states(i)
+            halted(i) = true
+          } else {
+            val ctx = new VertexContext[M](step, aggIn, out)
+            states(i) = fn(ctx, prev.ids(i), prev.states(i), if (ms == null) Nil else ms)
+            halted(i) = ctx.halt
+            partAgg += ctx.aggValue
+            if (!ctx.halt) active += 1
+          }
+          i += 1
+        }
+        Iterator(new Part[V, M](prev.ids, states, halted, out, partAgg, active))
+      }
       val persisted = stepped.cache()
       val checkpoint = superstep > 0 && superstep % CheckpointEvery == 0
       if (checkpoint) persisted.localCheckpoint()
 
       val (msgCount, aggSum, activeCount) = persisted
-        .map { case (_, s) => (s.out.size.toLong, s.agg, if (s.halted) 0L else 1L) }
+        .map(p => (p.out.size.toLong, p.agg, p.active))
         .fold((0L, 0L, 0L)) { case ((a1, b1, c1), (a2, b2, c2)) => (a1 + a2, b1 + b2, c1 + c2) }
 
       totalMsgs += msgCount
       agg = aggSum
-      val nextState = persisted.mapValues(s => (s.state, s.halted))
-      val nextMsgs  = persisted
-        .flatMap { case (_, s) => s.out }
-        .partitionBy(partitioner)
+      msgs = persisted.flatMap(_.out).partitionBy(partitioner)
 
-      if (superstep == 0) initial.unpersist(blocking = false)
-      if (prevStepped != null && (prevStepped ne checkpointed)) prevStepped.unpersist(blocking = false)
+      if (state ne checkpointed) state.unpersist(blocking = false)
       if (checkpoint) {
         if (checkpointed != null) checkpointed.unpersist(blocking = false)
         checkpointed = persisted
       }
-      prevStepped = persisted
-      state       = nextState
-      msgs        = nextMsgs
+      state = persisted
       superstep += 1
 
       if (msgCount == 0L && activeCount == 0L) done = true
       else if (stopWhen(StepInfo(superstep, activeCount, msgCount, aggSum))) done = true
     }
-    (state.mapValues(_._1), PregelStats(superstep, totalMsgs, System.currentTimeMillis() - t0))
+    val out = state.mapPartitions(_.flatMap(p => p.ids.iterator.zip(p.states.iterator)),
+                                  preservesPartitioning = true)
+    (out, PregelStats(superstep, totalMsgs, System.currentTimeMillis() - t0))
   }
 }

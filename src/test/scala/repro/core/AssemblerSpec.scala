@@ -78,6 +78,25 @@ class AssemblerSpec extends SparkSpec {
     assert(rep.mismatchesPer100kbp.exists(_ < 500.0), s"mm=${rep.mismatchesPer100kbp}")
   }
 
+  test("the assembly does not depend on the reads' partitioning or order") {
+    import spark.implicits._
+    val reads = noisyReads(15, 0.01, seed = 17).collect().toSeq
+    def canon(s: String) = Seq(s, Dna.rc(s)).min
+    def assembleFrom(rs: Seq[String], partitions: Int) = {
+      val res = Assembler.assemble(spark.sparkContext.parallelize(rs, partitions).toDS(), opts())
+      (res.sequences.map(canon).collect().sorted.toSeq,
+       Seq(Some(res.labeling1), res.labeling2, res.tipStats).flatten
+         .map(s => (s.supersteps, s.messages)))
+    }
+    val (contigs, counts) = assembleFrom(reads, 1)
+    assert(contigs.nonEmpty && counts.size == 3)
+    for ((rs, parts) <- Seq((reads, 5), (new scala.util.Random(3).shuffle(reads), 3))) {
+      val (c, n) = assembleFrom(rs, parts)
+      assert(c == contigs, s"contigs differ from $parts partitions")
+      assert(n == counts, s"LR and tip (supersteps, messages) differ from $parts partitions")
+    }
+  }
+
   test("final contigs carry sequences, not placeholders") {
     val res = Assembler.assemble(noisyReads(15, 0.01, seed = 13), opts())
     val seqs = res.sequences.collect()

@@ -1,5 +1,10 @@
 package repro.pregel
 
+import java.util.concurrent.ConcurrentHashMap
+import java.util.concurrent.atomic.AtomicLong
+import org.apache.spark.HashPartitioner
+import org.apache.spark.rdd.RDD
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerTaskEnd}
 import repro.SparkSpec
 
 class PregelRuntimeSpec extends SparkSpec {
@@ -128,9 +133,84 @@ class PregelRuntimeSpec extends SparkSpec {
     assert(out.collect().toMap == Map(1L -> 40L, 2L -> 40L))
     persisted.foreach(_.unpersist(blocking = true))
   }
+
+  /** Shuffle bytes written by the jobs `body` runs, summed by a
+    * `SparkListener` once a marker job's end event shows that every
+    * earlier event has been delivered.
+    */
+  private def shuffleBytesOf[T](body: => T): (T, Long) = {
+    val sc = spark.sparkContext
+    val bytes = new AtomicLong()
+    val ended = ConcurrentHashMap.newKeySet[Int]()
+    val listener = new SparkListener {
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        Option(e.taskMetrics).foreach(m => bytes.addAndGet(m.shuffleWriteMetrics.bytesWritten))
+      override def onJobEnd(e: SparkListenerJobEnd): Unit = ended.add(e.jobId)
+    }
+    sc.addSparkListener(listener)
+    try {
+      val result = body
+      val group = s"shuffle-bytes-marker-${System.nanoTime()}"
+      sc.setJobGroup(group, "listener drain marker")
+      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
+      val marker = sc.statusTracker.getJobIdsForGroup(group).max
+      val deadline = System.nanoTime() + 30L * 1000000000L
+      while (!ended.contains(marker) && System.nanoTime() < deadline) Thread.sleep(1)
+      assert(ended.contains(marker), "Spark listener bus did not drain within 30 s")
+      (result, bytes.get())
+    } finally sc.removeSparkListener(listener)
+  }
+
+  test("vertex state stays put: only messages are shuffled, on defaultParallelism partitions") {
+    import PregelRuntimeSpec.Blob
+    val sc = spark.sparkContext
+    val n = 128L
+    val rnd = new scala.util.Random(7)
+    // Incompressible 4 kB payloads, so that a shuffled state would show.
+    val init = (1L to n).map { i =>
+      val payload = new Array[Byte](4096)
+      rnd.nextBytes(payload)
+      (i, Blob(payload, 0L))
+    }
+    // Each vertex sends one Long to its successor in each of supersteps 0-4.
+    def run(vs: RDD[(Long, Blob)]) =
+      PregelRuntime.run[Blob, Long](vs,
+        (ctx, id, v, msgs) => {
+          if (ctx.superstep < 5) ctx.send(id % n + 1, id)
+          v.copy(sum = v.sum + msgs.sum)
+        })
+    def finalStates(out: RDD[(Long, Blob)]) =
+      out.collect().map { case (id, b) => id -> (b.payload.toSeq, b.sum) }.toMap
+
+    val byRuntime = new HashPartitioner(sc.defaultParallelism)
+    val (placed, stateCopy) = shuffleBytesOf {
+      val p = sc.parallelize(init, 1).partitionBy(byRuntime).cache()
+      p.count()
+      p
+    }
+    val ((out, stats), runBytes) = shuffleBytesOf {
+      val r = run(placed)
+      r._1.count()
+      r
+    }
+    assert(stats.supersteps == 6 && stats.messages == 5 * n)
+    assert(runBytes < stateCopy,
+      s"a run shuffled $runBytes bytes; one copy of the states is $stateCopy bytes")
+    val expected = finalStates(out)
+    assert(expected(1L)._2 == 5 * n)
+    for (parts <- Seq(1, 7)) {
+      val (o, _) = run(sc.parallelize(init, parts))
+      assert(o.getNumPartitions == sc.defaultParallelism, s"$parts input partitions")
+      assert(finalStates(o) == expected, s"$parts input partitions")
+    }
+    placed.unpersist(blocking = true)
+  }
 }
 
 object PregelRuntimeSpec {
+  /** A vertex state with a large payload that the program never changes. */
+  final case class Blob(payload: Array[Byte], sum: Long)
+
   /** List-ranking toy state/messages (top-level: Spark-serializable). */
   final case class S(value: Long, sum: Long, pred: Long) // pred 0 = null
   final case class M(kind: Int, from: Long, sum: Long, pred: Long)
