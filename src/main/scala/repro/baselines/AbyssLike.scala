@@ -23,12 +23,7 @@ object AbyssLike {
     val spark = reads.sparkSession
     import spark.implicits._
     reads
-      .flatMap { r =>
-        DbgConstruction.splitRead(r).flatMap { s =>
-          if (s.length < k) Nil
-          else (0 to s.length - k).map(i => Kmer.canonical(Kmer.pack(s.substring(i, i + k)), k))
-        }
-      }
+      .flatMap(r => Kmer.canonicalWindows(r, k))
       .groupByKey(identity)
       .count()
       .rdd

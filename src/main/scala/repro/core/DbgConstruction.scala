@@ -8,8 +8,8 @@ import repro.dna.Kmer
 /** Operation ① — de Bruijn graph construction (paper §IV-B).
   *
   * Two mini-MapReduce phases, exactly as the paper:
-  *  (i)  reads are split at 'N' (and any non-ACGT character), cut into
-  *       (k+1)-mers with a sliding window, canonicalised, and counted by
+  *  (i)  reads are cut into (k+1)-mers by a sliding window that never
+  *       spans an 'N' (or any non-ACGT character), canonicalised, counted by
   *       their packed 64-bit ID; (k+1)-mers with coverage <= theta are
   *       filtered as likely read errors. This phase is relational and runs
   *       on DataFrames (oracle-checked against DuckDB in tests).
@@ -19,18 +19,8 @@ import repro.dna.Kmer
   */
 object DbgConstruction {
 
-  /** Split a read into maximal ACGT runs (the paper's 'N' handling). */
-  def splitRead(read: String): Seq[String] =
-    read.split("[^ACGT]+").toSeq.filter(_.nonEmpty)
-
-  /** Canonical packed (k+1)-mers of one read. */
-  def edgeMers(read: String, k: Int): Seq[Long] =
-    splitRead(read).flatMap { s =>
-      if (s.length < k + 1) Nil
-      else (0 to s.length - (k + 1)).map { i =>
-        Kmer.canonical(Kmer.pack(s.substring(i, i + k + 1)), k + 1)
-      }
-    }
+  /** Canonical packed (k+1)-mers of one read; none spans an 'N'. */
+  def edgeMers(read: String, k: Int): Seq[Long] = Kmer.canonicalWindows(read, k + 1)
 
   /** Phase (i) as a DataFrame: columns (emer: Long, cnt: Long). */
   def countEdgeMers(reads: Dataset[String], k: Int): DataFrame = {

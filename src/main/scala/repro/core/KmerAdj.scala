@@ -60,7 +60,7 @@ object KmerAdj {
     val y    = if (q == nbr) L else H
     val mySide  = if (x == L) Side.Right else Side.Left
     val nbrSide = if (y == L) Side.Left else Side.Right
-    Edge(nbr, mySide, nbrSide, cov, k)
+    Edge(nbr, mySide, nbrSide, cov)
   }
 
   /** Decode a compressed k-mer vertex into the unified [[Node]] model. */

@@ -22,12 +22,9 @@ object VType {
   * the neighbour's Left side reads the neighbour forward; entering its Right
   * side reads it reverse-complemented.
   *
-  * @param cov    coverage of the underlying (k+1)-mer edge
-  * @param nbrLen neighbour sequence length (k for k-mers; materialised for
-  *               contig neighbours exactly as §IV-A prescribes, so tip
-  *               removing never has to ask the contig)
+  * @param cov coverage of the underlying (k+1)-mer edge
   */
-final case class Edge(nbr: Long, mySide: Int, nbrSide: Int, cov: Long, nbrLen: Int)
+final case class Edge(nbr: Long, mySide: Int, nbrSide: Int, cov: Long)
     extends Serializable
 
 object Side {

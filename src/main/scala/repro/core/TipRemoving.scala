@@ -46,8 +46,7 @@ object TipRemoving {
     // Contig end edges become edges of the ambiguous endpoint vertices.
     val contigEdges = contigs.flatMap { case (cid, c) =>
       c.edges.map { e =>
-        (e.nbr, Edge(nbr = cid, mySide = e.nbrSide, nbrSide = e.mySide,
-                     cov = e.cov, nbrLen = c.seqLen))
+        (e.nbr, Edge(nbr = cid, mySide = e.nbrSide, nbrSide = e.mySide, cov = e.cov))
       }
     }
     val newAdj = keptEdges.union(contigEdges)

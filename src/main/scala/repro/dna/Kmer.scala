@@ -10,6 +10,8 @@ package repro.dna
   * Bit 63 marks non-k-mer IDs (NULL and contig IDs, Fig. 7b/7c); bit 62 is
   * the "flipped" marker used by bidirectional list ranking (§IV-B) and is
   * never part of a k-mer encoding (k <= 31 uses at most bits 0..61).
+  *
+  * [[Scanner]] is the one place that cuts sequences into canonical windows.
   */
 object Kmer {
 
@@ -54,9 +56,6 @@ object Kmer {
     if (java.lang.Long.compareUnsigned(x, r) <= 0) x else r
   }
 
-  /** True iff the packed k-mer is its own canonical form (label L). */
-  def isCanonical(x: Long, k: Int): Boolean = canonical(x, k) == x
-
   /** Prefix k-mer of a packed (k+1)-mer: drop the last base. */
   def prefix(e: Long): Long = e >>> 2
 
@@ -71,4 +70,67 @@ object Kmer {
 
   /** Extend a packed k-mer by one base on the right into a (k+1)-mer. */
   def extend(x: Long, b: Int): Long = (x << 2) | b.toLong
+
+  /** Rolling scanner over the w-base windows (1 <= w <= 32) of `s` that
+    * hold only A, C, G and T: a window never spans any other character.
+    * The window and its reverse complement are kept packed and updated in
+    * O(1) per base. Windows come left to right:
+    *
+    * {{{
+    * val sc = new Kmer.Scanner(s, w)
+    * while (sc.next()) use(sc.pos, sc.canonical, sc.isForward)
+    * }}}
+    */
+  final class Scanner(s: String, w: Int) {
+    require(w >= 1 && w <= 32, s"window width must be in [1, 32], got $w")
+    private val m   = mask(w)
+    private val top = 2 * (w - 1)
+    private var i   = 0 // next character to read
+    private var run = 0 // ACGT bases read since the last other character
+    private var fwd = 0L
+    private var rev = 0L
+
+    /** Advance to the next window; false once `s` is exhausted. */
+    def next(): Boolean = {
+      while (i < s.length) {
+        val b = s.charAt(i) match {
+          case 'A' => 0L
+          case 'C' => 1L
+          case 'G' => 2L
+          case 'T' => 3L
+          case _   => -1L
+        }
+        i += 1
+        if (b < 0) run = 0
+        else {
+          fwd = ((fwd << 2) | b) & m
+          rev = (rev >>> 2) | ((b ^ 3L) << top)
+          run += 1
+          if (run >= w) return true
+        }
+      }
+      false
+    }
+
+    /** Start of the current window in `s`. */
+    def pos: Int = i - w
+
+    /** True iff the window as read is its own canonical form. Two windows
+      * with the same canonical form read the same way iff these agree.
+      */
+    def isForward: Boolean = java.lang.Long.compareUnsigned(fwd, rev) <= 0
+
+    /** Canonical form of the current window. */
+    def canonical: Long = if (isForward) fwd else rev
+  }
+
+  /** Canonical forms of the ACGT-only w-base windows of `s`, left to right. */
+  def canonicalWindows(s: String, w: Int): Seq[Long] = {
+    val out = new Array[Long](math.max(0, s.length - w + 1))
+    val sc  = new Scanner(s, w)
+    var n = 0
+    while (sc.next()) { out(n) = sc.canonical; n += 1 }
+    scala.collection.immutable.ArraySeq.unsafeWrapArray(
+      if (n == out.length) out else java.util.Arrays.copyOf(out, n))
+  }
 }

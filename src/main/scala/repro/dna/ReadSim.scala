@@ -1,6 +1,6 @@
 package repro.dna
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{Dataset, SparkSession}
 import scala.util.Random
 
 /** Distributed short-read simulator — substitute for the ART simulator [8]
@@ -60,9 +60,4 @@ object ReadSim {
       .withColumnRenamed("value", "read")
       .as[String]
   }
-
-  /** Same as [[reads]] but as a single-column DataFrame ("read"). */
-  def readsDf(spark: SparkSession, genome: String, spec: ReadSpec, seed: Long,
-              partitions: Int = 16): DataFrame =
-    reads(spark, genome, spec, seed, partitions).toDF("read")
 }

@@ -50,46 +50,42 @@ object Quast {
       refBlocks: Seq[(Int, Int)], // covered [start, end) ranges on the reference
   )
 
-  /** Canonical-k-mer position index of the reference. */
-  def index(ref: String, k: Int): mutable.HashMap[Long, mutable.ArrayBuffer[Int]] = {
-    val m = new mutable.HashMap[Long, mutable.ArrayBuffer[Int]]()
-    var i = 0
-    while (i + k <= ref.length) {
-      val key = Kmer.canonical(Kmer.pack(ref.substring(i, i + k)), k)
-      m.getOrElseUpdate(key, new mutable.ArrayBuffer[Int]()) += i
-      i += 1
-    }
+  /** Canonical-k-mer index of the reference: for each canonical k-mer, its
+    * (position, [[Kmer.Scanner.isForward]]) occurrences.
+    */
+  def index(ref: String, k: Int): mutable.HashMap[Long, mutable.ArrayBuffer[(Int, Boolean)]] = {
+    val m  = new mutable.HashMap[Long, mutable.ArrayBuffer[(Int, Boolean)]]()
+    val sc = new Kmer.Scanner(ref, k)
+    while (sc.next())
+      m.getOrElseUpdate(sc.canonical, new mutable.ArrayBuffer[(Int, Boolean)]()) += ((sc.pos, sc.isForward))
     m
   }
 
   /** Align one contig; seeds are taken every `step` bases plus the tail. */
   def align(contig: String, ref: String,
-            idx: mutable.HashMap[Long, mutable.ArrayBuffer[Int]],
+            idx: mutable.HashMap[Long, mutable.ArrayBuffer[(Int, Boolean)]],
             k: Int, step: Int = 7): Alignment = {
     val len = contig.length
     val gc  = Dna.gcCount(contig)
     if (len < k)
       return Alignment(len, gc, misassembled = false, 0L, 0L, 0L, Nil)
 
-    val seedIdxs = ((0 until (len - k + 1) by step) :+ (len - k)).distinct
     // votes: (strand fwd?, diag) -> seed positions voting for it
     val votes = new mutable.HashMap[(Boolean, Int), mutable.ArrayBuffer[Int]]()
     var seeded = 0
-    seedIdxs.foreach { i =>
-      val sub = contig.substring(i, i + k)
-      if (!sub.exists(c => c != 'A' && c != 'C' && c != 'G' && c != 'T')) {
-        val x  = Kmer.pack(sub)
-        val cx = Kmer.canonical(x, k)
-        idx.get(cx) match {
-          case Some(hits) =>
-            seeded += 1
-            hits.foreach { p =>
-              val r = Kmer.pack(ref.substring(p, p + k))
-              if (r == x) votes.getOrElseUpdate((true, p - i), new mutable.ArrayBuffer[Int]()) += i
-              else votes.getOrElseUpdate((false, p + i), new mutable.ArrayBuffer[Int]()) += i
-            }
-          case None =>
-        }
+    val sc = new Kmer.Scanner(contig, k)
+    while (sc.next()) {
+      val i = sc.pos
+      if (i % step == 0 || i == len - k) idx.get(sc.canonical) match {
+        case Some(hits) =>
+          seeded += 1
+          hits.foreach { case (p, refForward) =>
+            // Same canonical form: same strand iff both read the same way.
+            if (refForward == sc.isForward)
+              votes.getOrElseUpdate((true, p - i), new mutable.ArrayBuffer[Int]()) += i
+            else votes.getOrElseUpdate((false, p + i), new mutable.ArrayBuffer[Int]()) += i
+          }
+        case None =>
       }
     }
     if (seeded == 0)

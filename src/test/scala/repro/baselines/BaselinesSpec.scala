@@ -45,7 +45,7 @@ class BaselinesSpec extends SparkSpec {
   test("SwapLike.sparsify keeps a dominant edge and drops the weak sibling") {
     def mk(id: Long, es: (Long, Int, Int, Long)*): (Long, Node) =
       (id, Node(id, PackedSeq.fromString("A" * 5),
-        es.map { case (n, ms, ns, c) => Edge(n, ms, ns, c, 5) }.toVector, 0L))
+        es.map { case (n, ms, ns, c) => Edge(n, ms, ns, c) }.toVector, 0L))
     val nodes = spark.sparkContext.parallelize(Seq(
       mk(1L, (2L, Side.Right, Side.Left, 10L), (3L, Side.Right, Side.Left, 2L)),
       mk(2L, (1L, Side.Left, Side.Right, 10L)),
@@ -59,7 +59,7 @@ class BaselinesSpec extends SparkSpec {
   test("SwapLike.sparsify cuts a balanced side entirely") {
     def mk(id: Long, es: (Long, Int, Int, Long)*): (Long, Node) =
       (id, Node(id, PackedSeq.fromString("A" * 5),
-        es.map { case (n, ms, ns, c) => Edge(n, ms, ns, c, 5) }.toVector, 0L))
+        es.map { case (n, ms, ns, c) => Edge(n, ms, ns, c) }.toVector, 0L))
     val nodes = spark.sparkContext.parallelize(Seq(
       mk(1L, (2L, Side.Right, Side.Left, 10L), (3L, Side.Right, Side.Left, 8L)),
       mk(2L, (1L, Side.Left, Side.Right, 10L)),
@@ -72,7 +72,7 @@ class BaselinesSpec extends SparkSpec {
 
   test("SwapLike.sparsify removes self-loops") {
     val n = (1L, Node(1L, PackedSeq.fromString("AAAAA"),
-      Vector(Edge(1L, Side.Right, Side.Left, 5L, 5)), 0L))
+      Vector(Edge(1L, Side.Right, Side.Left, 5L)), 0L))
     val out = SwapLike.sparsify(spark.sparkContext.parallelize(Seq(n), 1), 1.5)
       .collect().toMap
     assert(out(1L).edges.isEmpty)

@@ -8,13 +8,13 @@ class BubbleFilteringSpec extends SparkSpec {
   /** Contig node with explicit end neighbours. */
   def contig(j: Long, seq: String, left: Long, right: Long, cov: Long): Node =
     Node(Ids.contigId(0, j), PackedSeq.fromString(seq),
-      Vector(Edge(left, Side.Left, Side.Right, cov, 15),
-             Edge(right, Side.Right, Side.Left, cov, 15)),
+      Vector(Edge(left, Side.Left, Side.Right, cov),
+             Edge(right, Side.Right, Side.Left, cov)),
       cov)
 
   def dangling(j: Long, seq: String, left: Long, cov: Long): Node =
     Node(Ids.contigId(0, j), PackedSeq.fromString(seq),
-      Vector(Edge(left, Side.Left, Side.Right, cov, 15)), cov)
+      Vector(Edge(left, Side.Left, Side.Right, cov)), cov)
 
   def run(cs: Node*): Set[Long] =
     BubbleFiltering.filter(

@@ -7,12 +7,6 @@ class DbgConstructionSpec extends SparkSpec {
 
   val k = 5
 
-  test("splitRead splits at N and any non-base character") {
-    assert(DbgConstruction.splitRead("ACGTNNGGA") == Seq("ACGT", "GGA"))
-    assert(DbgConstruction.splitRead("NNN") == Seq.empty)
-    assert(DbgConstruction.splitRead("ACGT") == Seq("ACGT"))
-  }
-
   test("edgeMers: reads shorter than k+1 contribute nothing") {
     assert(DbgConstruction.edgeMers("ACGT", 5).isEmpty)
     assert(DbgConstruction.edgeMers("ACGTAN", 5).isEmpty) // both runs too short

@@ -97,7 +97,6 @@ class KmerAdjSpec extends AnyFunSuite {
     assert(n.edges.size == 3)
     assert(n.edges.map(_.cov).sorted == Vector(1L, 4L, 6L))
     assert(n.seq.toString == Kmer.unpack(id, k))
-    assert(n.edges.forall(_.nbrLen == k))
   }
 
   test("slots with label L attach to the Right side, H to the Left") {

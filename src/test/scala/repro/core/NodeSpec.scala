@@ -9,7 +9,7 @@ class NodeSpec extends AnyFunSuite {
     Node(id, PackedSeq.fromString("ACGTA"), edges.toVector, 0L)
 
   def e(nbr: Long, mySide: Int, nbrSide: Int = Side.Left): Edge =
-    Edge(nbr, mySide, nbrSide, 1L, 5)
+    Edge(nbr, mySide, nbrSide, 1L)
 
   test("one edge on one side is type <1>") {
     assert(node(1, e(2, Side.Right)).typ == VType.One)

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.Row
 import repro.{Oracle, SparkSpec}
-import repro.dna.Dna
+import repro.dna.{Dna, ReadSim}
 import repro.quality.Quast
 
 /** DuckDB oracle checks recomputed from the program's own inputs and
@@ -62,13 +62,14 @@ class OracleStatsSpec extends SparkSpec {
   }
 
   test("oracle: per-dataset read-length stats match DuckDB") {
-    val reads = repro.SynthData.dnaReads(spark, sf = 0.02, readLen = 80, coverage = 4.0)
+    val reads = ReadSim.reads(spark, Dna.genome(Dna.GenomeSpec(4800), 6),
+                              ReadSim.ReadSpec(80, 240), seed = 7, partitions = 16)
     val stats = reads.selectExpr("COUNT(*) AS n", "MIN(LENGTH(read)) AS minl",
                                  "MAX(LENGTH(read)) AS maxl")
     Oracle.assertEquivalent(
       stats,
       "SELECT COUNT(*) AS n, MIN(LENGTH(read)) AS minl, MAX(LENGTH(read)) AS maxl FROM reads",
-      "reads" -> reads)
+      "reads" -> reads.toDF())
   }
 
   test("oracle: bubble filtering keeps what DuckDB's end-pair groups require") {

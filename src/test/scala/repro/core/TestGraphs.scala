@@ -84,8 +84,8 @@ object TestGraphs {
                   edges: Seq[(Long, Int, Long, Int, Long)],
                   k: Int): RDD[(Long, Node)] = {
     val adj = edges.flatMap { case (a, sa, b, sb, cov) =>
-      Seq((a, Edge(b, sa, sb, cov, nodeLens(b))),
-          (b, Edge(a, sb, sa, cov, nodeLens(a))))
+      Seq((a, Edge(b, sa, sb, cov)),
+          (b, Edge(a, sb, sa, cov)))
     }.groupBy(_._1).view.mapValues(_.map(_._2).toVector).toMap
     val ns = nodeLens.map { case (id, len) =>
       (id, Node(id, PackedSeq.fromString("A" * len), adj.getOrElse(id, Vector.empty), 0L))

@@ -9,15 +9,15 @@ class TipRemovingSpec extends SparkSpec {
   val k = 15
 
   /** Ambiguous k-mer node (edges filled by relink). */
-  def amb(id: Long, edges: (Long, Int, Int, Long, Int)*): Node =
+  def amb(id: Long, edges: (Long, Int, Int, Long)*): Node =
     Node(id, PackedSeq.fromString("A" * k),
-      edges.map { case (nbr, ms, ns, cov, nl) => Edge(nbr, ms, ns, cov, nl) }.toVector, 0L)
+      edges.map { case (nbr, ms, ns, cov) => Edge(nbr, ms, ns, cov) }.toVector, 0L)
 
   /** Contig node of a given length with optional end neighbours. */
   def contig(j: Long, len: Int, left: Option[Long], right: Option[Long]): Node = {
     val id = Ids.contigId(1, j)
-    val es = left.map(l => Edge(l, Side.Left, Side.Right, 10, k)).toVector ++
-             right.map(r => Edge(r, Side.Right, Side.Left, 10, k)).toVector
+    val es = left.map(l => Edge(l, Side.Left, Side.Right, 10)).toVector ++
+             right.map(r => Edge(r, Side.Right, Side.Left, 10)).toVector
     Node(id, PackedSeq.fromString("A" * len), es, 10L)
   }
 
@@ -28,9 +28,9 @@ class TipRemovingSpec extends SparkSpec {
     TipRemoving.run(rdd(ambs: _*), rdd(contigs: _*), k, tipLen).nodes.collect().toMap
 
   test("relink attaches contig edges to ambiguous endpoints and drops stale ones") {
-    val x = amb(10L, (11L, Side.Right, Side.Left, 5, k), // edge to another ambiguous
-                     (999L, Side.Left, Side.Right, 5, k)) // stale: merged-away k-mer
-    val y = amb(11L, (10L, Side.Left, Side.Right, 5, k))
+    val x = amb(10L, (11L, Side.Right, Side.Left, 5), // edge to another ambiguous
+                     (999L, Side.Left, Side.Right, 5)) // stale: merged-away k-mer
+    val y = amb(11L, (10L, Side.Left, Side.Right, 5))
     val c = contig(1, 200, left = Some(10L), right = Some(11L))
     val relinked = TipRemoving.relink(rdd(x, y), rdd(c)).collect().toMap
     val nx = relinked(10L)
@@ -38,7 +38,6 @@ class TipRemovingSpec extends SparkSpec {
     assert(!nx.edges.exists(_.nbr == 999L), "stale edge dropped")
     val ce = nx.edges.find(_.nbr == c.id)
     assert(ce.isDefined, "contig edge attached")
-    assert(ce.get.nbrLen == 200)
     // the helper's left-end edge carries nbrSide=Right: x sees it on its Right
     assert(ce.get.mySide == Side.Right)
     assert(ce.get.nbrSide == Side.Left)
@@ -98,9 +97,9 @@ class TipRemovingSpec extends SparkSpec {
   test("a tip with two dead-ends: DELETEs meet in the middle") {
     // isolated chain: t1(<1>) - X? No ambiguity at all: c1 - c2 joined by an
     // ambiguous vertex is impossible; use k-mer relay: a(One) - m(OneOne) - b(One)
-    val a = amb(20L, (21L, Side.Right, Side.Left, 3, k))
-    val m = amb(21L, (20L, Side.Left, Side.Right, 3, k), (22L, Side.Right, Side.Left, 3, k))
-    val b = amb(22L, (21L, Side.Left, Side.Right, 3, k))
+    val a = amb(20L, (21L, Side.Right, Side.Left, 3))
+    val m = amb(21L, (20L, Side.Left, Side.Right, 3), (22L, Side.Right, Side.Left, 3))
+    val b = amb(22L, (21L, Side.Left, Side.Right, 3))
     assert(a.typ == VType.One && m.typ == VType.OneOne && b.typ == VType.One)
     // total length: 15 + 1 + 1 = 17 <= 80: the whole chain is a tip
     val out = surviving(Seq(a, m, b), Seq.empty)
@@ -108,9 +107,9 @@ class TipRemovingSpec extends SparkSpec {
   }
 
   test("a two-dead-end chain longer than the threshold survives") {
-    val a = amb(20L, (21L, Side.Right, Side.Left, 3, k))
-    val m = amb(21L, (20L, Side.Left, Side.Right, 3, k), (22L, Side.Right, Side.Left, 3, k))
-    val b = amb(22L, (21L, Side.Left, Side.Right, 3, k))
+    val a = amb(20L, (21L, Side.Right, Side.Left, 3))
+    val m = amb(21L, (20L, Side.Left, Side.Right, 3), (22L, Side.Right, Side.Left, 3))
+    val b = amb(22L, (21L, Side.Left, Side.Right, 3))
     val out = surviving(Seq(a, m, b), Seq.empty, tipLen = 10)
     assert(out.keySet == Set(20L, 21L, 22L))
   }

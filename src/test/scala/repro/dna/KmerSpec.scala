@@ -1,5 +1,7 @@
 package repro.dna
 
+import org.scalacheck.{Gen, Prop, Test => Check}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
@@ -117,5 +119,39 @@ class KmerSpec extends AnyFunSuite {
   test("mask(32) covers all 64 bits") {
     assert(Kmer.mask(32) == -1L)
     assert(Kmer.mask(31) == (1L << 62) - 1)
+  }
+
+  /** (position, canonical, isForward) of every window, the naive way: cut
+    * the ACGT runs out with a regex, then pack and canonicalise substrings.
+    */
+  def naiveWindows(s: String, w: Int): Seq[(Int, Long, Boolean)] =
+    "[ACGT]+".r.findAllMatchIn(s).toSeq.flatMap { m =>
+      (m.start to m.end - w).map { p =>
+        val x = Kmer.pack(s.substring(p, p + w))
+        val c = Kmer.canonical(x, w)
+        (p, c, c == x)
+      }
+    }
+
+  /** Base runs of up to 60 separated by runs of N and other characters. */
+  val sequences: Gen[String] = Gen.listOf(for {
+    bases <- Gen.choose(0, 60).flatMap(Gen.listOfN(_, Gen.oneOf('A', 'C', 'G', 'T')))
+    other <- Gen.choose(1, 3).flatMap(Gen.listOfN(_, Gen.oneOf("NNNnax-. \u00e9".toSeq)))
+  } yield bases.mkString + other.mkString).map(_.mkString)
+
+  test("property: Scanner yields exactly the naive windows, for w in [1, 32]") {
+    var signBitCases = 0 // 32-base windows where a signed compare picks the other form
+    val prop = Prop.forAllNoShrink(sequences, Gen.choose(1, 32)) { (s, w) =>
+      val got = Seq.newBuilder[(Int, Long, Boolean)]
+      val sc  = new Kmer.Scanner(s, w)
+      while (sc.next()) got += ((sc.pos, sc.canonical, sc.isForward))
+      val expect = naiveWindows(s, w)
+      if (w == 32) signBitCases += expect.count { case (_, c, _) => (c < 0) != (Kmer.rc(c, w) < 0) }
+      got.result() == expect && Kmer.canonicalWindows(s, w) == expect.map(_._2)
+    }
+    val params = Check.Parameters.default.withMinSuccessfulTests(1000).withInitialSeed(Seed(11))
+    val result = Check.check(params, prop)
+    assert(result.passed, result.status)
+    assert(signBitCases > 0, "no 32-base window used bit 63")
   }
 }

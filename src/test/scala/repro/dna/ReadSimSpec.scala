@@ -47,16 +47,4 @@ class ReadSimSpec extends SparkSpec {
     val ns = rs.map(_.count(_ == 'N')).sum
     assert(ns > 400 && ns < 2500, s"ns=$ns of 100000")
   }
-
-  test("readsDf exposes the single 'read' column") {
-    val df = ReadSim.readsDf(spark, genome, ReadSim.ReadSpec(50, 10), 6)
-    assert(df.columns.toSeq == Seq("read"))
-    assert(df.count() == 10)
-  }
-
-  test("SynthData.dnaReads integrates the generators") {
-    val df = repro.SynthData.dnaReads(spark, sf = 0.02, readLen = 60, coverage = 5.0)
-    assert(df.columns.toSeq == Seq("read"))
-    assert(df.count() == (4800 * 5.0 / 60).toLong)
-  }
 }
