@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.rdd.RDD
-import repro.dna.EditDistance
+import repro.dna.{Dna, EditDistance}
 
 /** Operation ④ — bubble filtering (paper §IV-B).
   *
@@ -14,9 +14,15 @@ import repro.dna.EditDistance
   */
 object BubbleFiltering {
 
-  /** Bubble-group pruning: returns the surviving contigs of one group. */
+  /** Bubble-group pruning: returns the surviving contigs of one group.
+    * Members are compared in order of canonical sequence (the smaller of
+    * the sequence and its reverse complement), then ID, so a coverage tie
+    * keeps the branch with the smaller canonical sequence whatever IDs
+    * merging assigned.
+    */
   def pruneGroup(group: Seq[Node], editThr: Int): Seq[Node] = {
-    val arr    = group.sortBy(_.id).toArray
+    def canonical(n: Node): String = { val s = n.seq.toString; val r = Dna.rc(s); if (s <= r) s else r }
+    val arr    = group.sortBy(n => (canonical(n), n.id)).toArray
     val pruned = new Array[Boolean](arr.length)
     def ends(n: Node): (Long, Long) =
       (n.edgesOn(Side.Left).head.nbr, n.edgesOn(Side.Right).head.nbr)
@@ -34,15 +40,15 @@ object BubbleFiltering {
               if (ends(ci)._1 == ends(ci)._2) // loop on one vertex: direction unknowable
                 sjRaw
               else if (sameDirection) sjRaw
-              else repro.dna.Dna.rc(sjRaw)
+              else Dna.rc(sjRaw)
             val d = math.min(
               EditDistance.capped(si, sj, editThr),
-              if (ends(ci)._1 == ends(ci)._2) EditDistance.capped(si, repro.dna.Dna.rc(sj), editThr)
+              if (ends(ci)._1 == ends(ci)._2) EditDistance.capped(si, Dna.rc(sj), editThr)
               else Int.MaxValue - 1)
             if (d < editThr) {
               if (ci.cov < cj.cov) pruned(i) = true
               else if (cj.cov < ci.cov) pruned(j) = true
-              else pruned(j) = true // coverage tie: keep the smaller ID
+              else pruned(j) = true // coverage tie: keep the earlier member
             }
           }
           j += 1

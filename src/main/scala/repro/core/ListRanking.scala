@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.rdd.RDD
-import repro.pregel.{PregelRuntime, PregelStats, VertexContext}
+import repro.pregel.{Msg, PregelRuntime, PregelStats, VertexContext}
 
 /** Bidirectional list ranking (paper §IV-B, Fig. 11).
   *
@@ -35,13 +35,10 @@ object ListRanking {
     def label: Long   = math.min(Ids.strip(p0), Ids.strip(p1))
   }
 
-  /** kind 0 = request (a = requester); kind 1 = response (a = responder,
-    * b = the responder's predecessor away from the requester).
+  /** Messages: kind 0 = request (a = requester); kind 1 = response
+    * (a = responder, b = the responder's predecessor away from the requester).
     */
-  final case class LrMsg(kind: Int, a: Long, b: Long) extends Serializable
-
-  private def compute(ctx: VertexContext[LrMsg], id: Long, st: LrState,
-                      msgs: Seq[LrMsg]): LrState = {
+  private def compute(ctx: VertexContext, id: Long, st: LrState, msgs: Seq[Msg]): LrState = {
     if (ctx.superstep % 2 == 0) {
       // Apply responses, then issue the next round's requests. The
       // aggregator counts entries newly flipped this round (cycle test).
@@ -61,8 +58,8 @@ object ListRanking {
         }
       }
       if (!(Ids.isFlipped(p0) && Ids.isFlipped(p1))) {
-        if (!Ids.isFlipped(p0)) ctx.send(p0, LrMsg(0, id, 0L))
-        if (!Ids.isFlipped(p1)) ctx.send(p1, LrMsg(0, id, 0L))
+        if (!Ids.isFlipped(p0)) ctx.send(p0, 0, id, 0L)
+        if (!Ids.isFlipped(p1)) ctx.send(p1, 0, id, 0L)
         ctx.remainActive()
       }
       st.copy(p0 = p0, p1 = p1)
@@ -76,7 +73,7 @@ object ListRanking {
             else if (st.p1 == x || st.p1 == Ids.flip(x)) st.p0
             else throw new IllegalStateException(
               s"list ranking: vertex $id got request from $x matching neither entry")
-          ctx.send(x, LrMsg(1, id, away))
+          ctx.send(x, 1, id, away)
         }
       }
       st
@@ -96,7 +93,7 @@ object ListRanking {
     val stop = (info: PregelRuntime.StepInfo) =>
       info.superstep % 2 == 1 && info.superstep >= 3 &&
         info.agg == 0 && info.activeVertices > 0
-    val (state, stats) = PregelRuntime.run[LrState, LrMsg](pairs, compute, stopWhen = stop)
+    val (state, stats) = PregelRuntime.run(pairs, compute, stopWhen = stop)
     val cached = state.cache()
     LrResult(
       labels = cached.filter(_._2.done).mapValues(_.label),

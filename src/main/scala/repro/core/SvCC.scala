@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.rdd.RDD
-import repro.pregel.{PregelRuntime, PregelStats, VertexContext}
+import repro.pregel.{Msg, PregelRuntime, PregelStats, VertexContext}
 
 /** The simplified Shiloach-Vishkin connected-components PPA (paper §II).
   *
@@ -25,44 +25,38 @@ object SvCC {
   /** Vertex state: parent pointer + static neighbour list. */
   final case class SvState(d: Long, nbrs: Array[Long]) extends Serializable
 
-  /** Messages: kind 0 = neighbour D broadcast, kind 1 = hooking candidate +
-    * shortcut request (a = candidate, b = requester), kind 2 = parent D
-    * response (a = D).
+  /** Messages: kind 0 = neighbour D broadcast (a = D), kind 1 = hooking
+    * candidate + shortcut request (a = candidate, b = requester), kind 2 =
+    * parent D response (a = D). Each phase receives one kind, so the
+    * smallest value is the head of the sorted inbox.
     */
-  final case class SvMsg(kind: Int, a: Long, b: Long) extends Serializable
-
-  private def compute(ctx: VertexContext[SvMsg], id: Long, st: SvState,
-                      msgs: Seq[SvMsg]): SvState = {
+  private def compute(ctx: VertexContext, id: Long, st: SvState, msgs: Seq[Msg]): SvState = {
     ctx.superstep % 3 match {
       case 0 =>
         var d = st.d
-        msgs.foreach { m =>
-          if (m.kind == 2 && m.a < d) { // shortcut: D[v] := D[D[v]] (monotone)
-            if (m.a != d) ctx.aggValue += 1
-            d = m.a
-          }
+        if (msgs.nonEmpty && msgs.head.a < d) { // shortcut: D[v] := D[D[v]] (monotone)
+          d = msgs.head.a
+          ctx.aggValue += 1
         }
         if (st.nbrs.nonEmpty) {
-          st.nbrs.foreach(n => ctx.send(n, SvMsg(0, d, id)))
+          st.nbrs.foreach(n => ctx.send(n, 0, d, id))
           ctx.remainActive()
         }
         st.copy(d = d)
       case 1 =>
-        val nbrDs = msgs.filter(_.kind == 0).map(_.a)
-        if (nbrDs.nonEmpty) {
-          ctx.send(st.d, SvMsg(1, nbrDs.min, id))
+        if (msgs.nonEmpty) {
+          ctx.send(st.d, 1, msgs.head.a, id)
           ctx.remainActive()
         }
         st
       case _ =>
         var d = st.d
-        val cands = msgs.filter(_.kind == 1)
-        if (d == id && cands.nonEmpty) { // tree root: hooking
-          val c = cands.map(_.a).min
-          if (c < d) { d = c; ctx.aggValue += 1 }
+        if (d == id && msgs.nonEmpty && msgs.head.a < d) { // tree root: hooking
+          d = msgs.head.a
+          ctx.aggValue += 1
         }
-        cands.foreach(m => ctx.send(m.b, SvMsg(2, d, id)))
-        if (cands.nonEmpty) ctx.remainActive()
+        msgs.foreach(m => ctx.send(m.b, 2, d, id))
+        if (msgs.nonEmpty) ctx.remainActive()
         st.copy(d = d)
     }
   }
@@ -82,7 +76,7 @@ object SvCC {
         lastHook + info.agg == 0
       else false
     }
-    val (state, stats) = PregelRuntime.run[SvState, SvMsg](vertices, compute, stopWhen = stop)
+    val (state, stats) = PregelRuntime.run(vertices, compute, stopWhen = stop)
     (state.mapValues(_.d), stats)
   }
 }

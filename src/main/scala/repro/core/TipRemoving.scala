@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.rdd.RDD
-import repro.pregel.{PregelRuntime, PregelStats, VertexContext}
+import repro.pregel.{Msg, PregelRuntime, PregelStats, VertexContext}
 
 /** Operation ⑤ — tip removing (paper §IV-B).
   *
@@ -28,11 +28,6 @@ object TipRemoving {
   final case class TipState(node: Node, dead: Boolean, requested: Boolean)
       extends Serializable
 
-  /** kind 0 = REQUEST (from = immediate sender, cum = cumulative length);
-    * kind 1 = DELETE (from = immediate sender).
-    */
-  final case class TipMsg(kind: Int, from: Long, cum: Long) extends Serializable
-
   /** Relink ambiguous k-mers to the surviving contigs (the 2-superstep
     * contig-info push of the paper, realised as a cogroup).
     */
@@ -56,57 +51,54 @@ object TipRemoving {
     }
   }
 
-  private def initiate(ctx: VertexContext[TipMsg], st: TipState): TipState = {
+  /** DELETE (a = sender) sorts before REQUEST (a = cumulative length,
+    * b = sender): a node killed this superstep ignores concurrent REQUESTs,
+    * and an ⟨m-n⟩ node takes its shortest pending tip first.
+    */
+  private val Delete  = 0
+  private val Request = 1
+
+  private def initiate(ctx: VertexContext, st: TipState): TipState = {
     val n = st.node
     n.soleEdge match {
       case Some(e) if n.typ == VType.One && !st.requested =>
-        ctx.send(e.nbr, TipMsg(0, n.id, n.seqLen.toLong))
+        ctx.send(e.nbr, Request, n.seqLen.toLong, n.id)
         st.copy(requested = true)
       case _ => st
     }
   }
 
   private def compute(k: Int, tipLen: Int)(
-      ctx: VertexContext[TipMsg], id: Long, st0: TipState,
-      msgs: Seq[TipMsg]): TipState = {
+      ctx: VertexContext, id: Long, st0: TipState, msgs: Seq[Msg]): TipState = {
     var st = st0
     if (st.dead) return st
     if (ctx.superstep == 0) return initiate(ctx, st)
 
-    // DELETEs first: a node killed this superstep ignores concurrent REQUESTs.
-    msgs.filter(_.kind == 1).foreach { m =>
+    msgs.foreach { m =>
       if (!st.dead) {
-        st.node.typ match {
-          case VType.One =>
+        val from = if (m.kind == Delete) m.a else m.b
+        (m.kind, st.node.typ) match {
+          case (Delete, VType.One) =>
             st = st.copy(dead = true)
-          case VType.OneOne =>
-            st.node.edges.find(_.nbr != m.from)
+          case (Delete, VType.OneOne) =>
+            st.node.edges.find(_.nbr != from)
               .orElse(st.node.edges.headOption)
-              .foreach(e => ctx.send(e.nbr, TipMsg(1, id, 0L)))
+              .foreach(e => ctx.send(e.nbr, Delete, id, 0L))
             st = st.copy(dead = true)
-          case VType.MN => // stray DELETE at an ambiguous vertex: drop it
-        }
-      }
-    }
-    if (st.dead) return st
-
-    msgs.filter(_.kind == 0).foreach { m =>
-      if (!st.dead) {
-        st.node.typ match {
-          case VType.OneOne =>
-            val other = st.node.edges.find(_.nbr != m.from).getOrElse(st.node.edges.head)
-            ctx.send(other.nbr, TipMsg(0, id, m.cum + st.node.seqLen - (k - 1)))
-          case VType.One =>
+          case (Delete, VType.MN) => // stray DELETE at an ambiguous vertex: drop it
+          case (_, VType.OneOne) =>
+            val other = st.node.edges.find(_.nbr != from).getOrElse(st.node.edges.head)
+            ctx.send(other.nbr, Request, m.a + st.node.seqLen - (k - 1), id)
+          case (_, VType.One) =>
             // a tip with two dead-ends: terminator is part of the tip
-            val total = m.cum + st.node.seqLen - (k - 1)
-            if (total <= tipLen) {
-              ctx.send(m.from, TipMsg(1, id, 0L))
+            if (m.a + st.node.seqLen - (k - 1) <= tipLen) {
+              ctx.send(from, Delete, id, 0L)
               st = st.copy(dead = true)
             }
-          case VType.MN =>
-            if (m.cum <= tipLen) {
-              ctx.send(m.from, TipMsg(1, id, 0L))
-              val node2 = st.node.copy(edges = st.node.edges.filterNot(_.nbr == m.from))
+          case (_, VType.MN) =>
+            if (m.a <= tipLen) {
+              ctx.send(from, Delete, id, 0L)
+              val node2 = st.node.copy(edges = st.node.edges.filterNot(_.nbr == from))
               st = st.copy(node = node2)
               if (node2.typ == VType.One && !st.requested) st = initiate(ctx, st)
             }
@@ -125,7 +117,7 @@ object TipRemoving {
           k: Int, tipLen: Int): Result = {
     val graph = relink(ambNodes, contigs).union(contigs)
     val init  = graph.mapValues(n => TipState(n, dead = false, requested = false))
-    val (state, stats) = PregelRuntime.run[TipState, TipMsg](init, compute(k, tipLen))
+    val (state, stats) = PregelRuntime.run(init, compute(k, tipLen))
     Result(state.filter(!_._2.dead).mapValues(_.node), stats)
   }
 }

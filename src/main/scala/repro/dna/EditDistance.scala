@@ -64,8 +64,4 @@ object EditDistance {
     val dm = m - n + cap
     if (dm >= 0 && dm < 2 * cap + 1) math.min(prev(dm), inf) else inf
   }
-
-  /** True iff edit distance between a and b is strictly below threshold. */
-  def within(a: String, b: String, threshold: Int): Boolean =
-    capped(a, b, threshold) < threshold
 }

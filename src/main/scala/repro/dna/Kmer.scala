@@ -38,16 +38,14 @@ object Kmer {
   /** Base code at position i (0 = first/leftmost base) of a packed k-mer. */
   def baseAt(x: Long, k: Int, i: Int): Int = ((x >>> (2 * (k - 1 - i))) & 3L).toInt
 
-  /** Reverse complement of a packed k-mer. */
+  /** Reverse complement of a packed k-mer (1 <= k <= 32), bit-parallel:
+    * reverse the order of the 2-bit groups (swap neighbouring groups, then
+    * nibbles, then bytes), complement, and right-align the k bases.
+    */
   def rc(x: Long, k: Int): Long = {
-    var out = 0L
-    var i = 0
-    while (i < k) {
-      val b = (x >>> (2 * i)) & 3L // base k-1-i (from the right)
-      out = (out << 2) | (b ^ 3L)
-      i += 1
-    }
-    out
+    val g = ((x >>> 2) & 0x3333333333333333L) | ((x & 0x3333333333333333L) << 2)
+    val n = ((g >>> 4) & 0x0f0f0f0f0f0f0f0fL) | ((g & 0x0f0f0f0f0f0f0f0fL) << 4)
+    ~java.lang.Long.reverseBytes(n) >>> (64 - 2 * k)
   }
 
   /** Canonical form: unsigned-min of the k-mer and its reverse complement. */
@@ -64,9 +62,6 @@ object Kmer {
 
   /** Low 2k-bit mask. */
   def mask(k: Int): Long = if (k >= 32) -1L else (1L << (2 * k)) - 1
-
-  /** Append a base to a packed k-mer, dropping the first base (slide right). */
-  def slideRight(x: Long, k: Int, b: Int): Long = ((x << 2) | b.toLong) & mask(k)
 
   /** Extend a packed k-mer by one base on the right into a (k+1)-mer. */
   def extend(x: Long, b: Int): Long = (x << 2) | b.toLong

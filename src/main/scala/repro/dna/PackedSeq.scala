@@ -25,15 +25,6 @@ final case class PackedSeq(words: Array[Long], length: Int) extends Serializable
     b.result()
   }
 
-  /** Slice [from, until) as a new PackedSeq. */
-  def slice(from: Int, until: Int): PackedSeq = {
-    require(0 <= from && from <= until && until <= length)
-    val b = new PackedSeqBuilder(until - from)
-    var i = from
-    while (i < until) { b.append(codeAt(i)); i += 1 }
-    b.result()
-  }
-
   /** Number of G/C bases. */
   def gcCount: Long = {
     var n = 0L
@@ -74,8 +65,6 @@ object PackedSeq {
     while (i < k) { b.append(Kmer.baseAt(id, k, i)); i += 1 }
     b.result()
   }
-
-  val empty: PackedSeq = PackedSeq(Array.empty[Long], 0)
 }
 
 /** Append-only builder for PackedSeq. */

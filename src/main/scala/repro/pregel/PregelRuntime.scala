@@ -16,17 +16,27 @@ final case class PregelStats(supersteps: Int, messages: Long, millis: Long) {
 
 object PregelStats { val zero: PregelStats = PregelStats(0, 0L, 0L) }
 
+/** The one message shape of every program on the runtime. */
+final case class Msg(kind: Int, a: Long, b: Long)
+
+object Msg {
+  implicit val ordering: Ordering[Msg] = (x, y) =>
+    if (x.kind != y.kind) Integer.compare(x.kind, y.kind)
+    else if (x.a != y.a) java.lang.Long.compare(x.a, y.a)
+    else java.lang.Long.compare(x.b, y.b)
+}
+
 /** Per-vertex context handed to compute(.): superstep number, the
   * aggregated value from the previous superstep, a message emitter, a
   * vote-to-halt flag, and an aggregator contribution (summed as Long —
   * the only aggregator shape the paper's algorithms need).
   */
-final class VertexContext[M](val superstep: Int, val agg: Long,
-                             out: ArrayBuffer[(Long, M)]) {
+final class VertexContext(val superstep: Int, val agg: Long,
+                          out: ArrayBuffer[(Long, Msg)]) {
   /** Pregel convention: a vertex halts unless it acts to stay active. */
   var halt: Boolean  = true
   var aggValue: Long = 0L
-  def send(target: Long, msg: M): Unit = out += ((target, msg))
+  def send(target: Long, kind: Int, a: Long, b: Long): Unit = out += ((target, Msg(kind, a, b)))
   def remainActive(): Unit = { halt = false }
 }
 
@@ -39,6 +49,10 @@ final class VertexContext[M](val superstep: Int, val agg: Long,
   * superstep 0; a vertex that votes to halt is reactivated by an incoming
   * message; the run terminates when every vertex has halted and no
   * messages are in flight.
+  *
+  * Every message is a [[Msg]]. Pregel promises no message order; this
+  * runtime sorts each inbox by (kind, a, b), signed, so a vertex sees the
+  * same sequence whatever the partition count or the shuffle's fetch order.
   *
   * As in Pregel+ and GraphX, vertex state stays on its partition and only
   * messages travel. The run places the vertices once, at superstep 0, with
@@ -66,23 +80,23 @@ object PregelRuntime {
     * votes side by side, the messages they sent, and the partition's share
     * of the superstep's aggregator and active-vertex count.
     */
-  private final class Part[V, M](
+  private final class Part[V](
       val ids: Array[Long], val states: Array[V], val halted: Array[Boolean],
-      val out: ArrayBuffer[(Long, M)], val agg: Long, val active: Long)
+      val out: ArrayBuffer[(Long, Msg)], val agg: Long, val active: Long)
       extends Serializable
 
   /** Run a Pregel program.
     *
     * @param vertices initial vertex states
-    * @param compute  (ctx, id, state, messages) => new state; send/halt via ctx
+    * @param compute  (ctx, id, state, sorted inbox) => new state; send/halt via ctx
     * @param stopWhen early-stop predicate evaluated after each superstep
     *                 (e.g. list ranking's cycle detection)
     * @return final states (partitioned by the run's partitioner) and run
     *         statistics
     */
-  def run[V: ClassTag, M: ClassTag](
+  def run[V: ClassTag](
       vertices: RDD[(Long, V)],
-      compute: (VertexContext[M], Long, V, Seq[M]) => V,
+      compute: (VertexContext, Long, V, Seq[Msg]) => V,
       stopWhen: StepInfo => Boolean = _ => false,
       maxSupersteps: Int = 100000,
   ): (RDD[(Long, V)], PregelStats) = {
@@ -90,16 +104,16 @@ object PregelRuntime {
     val sc = vertices.sparkContext
     val partitioner = new HashPartitioner(sc.defaultParallelism)
 
-    var state: RDD[Part[V, M]] =
+    var state: RDD[Part[V]] =
       vertices.partitionBy(partitioner).mapPartitions({ it =>
         val (ids, states) = it.toArray.unzip
-        Iterator(new Part[V, M](ids, states, new Array[Boolean](ids.length),
-                                ArrayBuffer.empty, 0L, ids.length.toLong))
+        Iterator(new Part[V](ids, states, new Array[Boolean](ids.length),
+                             ArrayBuffer.empty, 0L, ids.length.toLong))
       }, preservesPartitioning = true)
-    var msgs: RDD[(Long, M)] = sc.emptyRDD[(Long, M)].partitionBy(partitioner)
+    var msgs: RDD[(Long, Msg)] = sc.emptyRDD[(Long, Msg)].partitionBy(partitioner)
     // The live state descends from the newest materialized checkpoint, and
     // a locally checkpointed RDD cannot be recomputed once unpersisted.
-    var checkpointed: RDD[Part[V, M]] = null
+    var checkpointed: RDD[Part[V]] = null
     var superstep = 0
     var totalMsgs = 0L
     var agg       = 0L
@@ -112,7 +126,7 @@ object PregelRuntime {
       val fn    = compute
       val stepped = state.zipPartitions(msgs, preservesPartitioning = true) { (parts, inbound) =>
         val prev  = parts.next()
-        val inbox = new mutable.LongMap[List[M]]()
+        val inbox = new mutable.LongMap[List[Msg]]()
         inbound.foreach { case (id, m) =>
           val ms = inbox.getOrNull(id)
           inbox.update(id, if (ms == null) m :: Nil else m :: ms)
@@ -120,7 +134,7 @@ object PregelRuntime {
         val n       = prev.ids.length
         val states  = new Array[V](n)
         val halted  = new Array[Boolean](n)
-        val out     = new ArrayBuffer[(Long, M)]()
+        val out     = new ArrayBuffer[(Long, Msg)]()
         var partAgg = 0L
         var active  = 0L
         var i = 0
@@ -130,15 +144,16 @@ object PregelRuntime {
             states(i) = prev.states(i)
             halted(i) = true
           } else {
-            val ctx = new VertexContext[M](step, aggIn, out)
-            states(i) = fn(ctx, prev.ids(i), prev.states(i), if (ms == null) Nil else ms)
+            val ctx = new VertexContext(step, aggIn, out)
+            val sorted = if (ms == null) Nil else if (ms.tail.isEmpty) ms else ms.sorted
+            states(i) = fn(ctx, prev.ids(i), prev.states(i), sorted)
             halted(i) = ctx.halt
             partAgg += ctx.aggValue
             if (!ctx.halt) active += 1
           }
           i += 1
         }
-        Iterator(new Part[V, M](prev.ids, states, halted, out, partAgg, active))
+        Iterator(new Part[V](prev.ids, states, halted, out, partAgg, active))
       }
       val persisted = stepped.cache()
       val checkpoint = superstep > 0 && superstep % CheckpointEvery == 0

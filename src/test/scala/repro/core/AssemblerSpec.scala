@@ -1,5 +1,8 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test => Check}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.rng.Seed
 import repro.SparkSpec
 import repro.dna.{Dna, ReadSim}
 import repro.quality.Quast
@@ -79,8 +82,10 @@ class AssemblerSpec extends SparkSpec {
   }
 
   test("the assembly does not depend on the reads' partitioning or order") {
+    // A property over random genomes with long repeats and random read
+    // seeds: the reads from 1 partition, from 5, and shuffled into 3 give
+    // the same final contigs and the same LR and tip (supersteps, messages).
     import spark.implicits._
-    val reads = noisyReads(15, 0.01, seed = 17).collect().toSeq
     def canon(s: String) = Seq(s, Dna.rc(s)).min
     def assembleFrom(rs: Seq[String], partitions: Int) = {
       val res = Assembler.assemble(spark.sparkContext.parallelize(rs, partitions).toDS(), opts())
@@ -88,13 +93,29 @@ class AssemblerSpec extends SparkSpec {
        Seq(Some(res.labeling1), res.labeling2, res.tipStats).flatten
          .map(s => (s.supersteps, s.messages)))
     }
-    val (contigs, counts) = assembleFrom(reads, 1)
-    assert(contigs.nonEmpty && counts.size == 3)
-    for ((rs, parts) <- Seq((reads, 5), (new scala.util.Random(3).shuffle(reads), 3))) {
-      val (c, n) = assembleFrom(rs, parts)
-      assert(c == contigs, s"contigs differ from $parts partitions")
-      assert(n == counts, s"LR and tip (supersteps, messages) differ from $parts partitions")
+    val cases = for {
+      length     <- Gen.choose(3000, 6000)
+      repeats    <- Gen.choose(2, 6)
+      repeatLen  <- Gen.choose(40, 200)
+      genomeSeed <- Gen.choose(1L, 1000000L)
+      readSeed   <- Gen.choose(1L, 1000000L)
+    } yield (Dna.GenomeSpec(length, longRepeats = repeats, longRepeatLen = repeatLen), genomeSeed, readSeed)
+    val prop = Prop.forAllNoShrink(cases) { case (spec, genomeSeed, readSeed) =>
+      val g = Dna.genome(spec, genomeSeed)
+      val readSpec = ReadSim.ReadSpec(readLen = 60, nReads = g.length * 15L / 60, errRate = 0.01, nRate = 0.0005)
+      val reads = ReadSim.reads(spark, g, readSpec, readSeed).collect().toSeq
+      val (contigs, counts) = assembleFrom(reads, 1)
+      val others = Seq((reads, 5), (new scala.util.Random(readSeed).shuffle(reads), 3))
+      ((contigs.nonEmpty && counts.size == 3) :| "round 1, round 2 and tips ran") && Prop.all(
+        others.map { case (rs, parts) =>
+          val (c, n) = assembleFrom(rs, parts)
+          ((c == contigs) :| s"contigs differ from $parts partitions") &&
+            ((n == counts) :| s"LR and tip (supersteps, messages) differ from $parts partitions: $n vs $counts")
+        }: _*)
     }
+    val params = Check.Parameters.default.withMinSuccessfulTests(4).withInitialSeed(Seed(17))
+    val result = Check.check(params, prop)
+    assert(result.passed, result.status)
   }
 
   test("final contigs carry sequences, not placeholders") {

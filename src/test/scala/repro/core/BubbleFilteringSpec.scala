@@ -64,11 +64,14 @@ class BubbleFilteringSpec extends SparkSpec {
     assert(run(a, b, c) == Set(a.id))
   }
 
-  test("coverage ties prune deterministically (the larger ID loses)") {
+  test("coverage ties keep the branch with the smaller canonical sequence") {
+    // The smaller canonical sequence survives a tie, even with the larger ID.
+    def canonical(c: Node) = Seq(c.seq.toString, Dna.rc(c.seq.toString)).min
     val s = "ACGTACGTACGTACGTACGT"
     val a = contig(1, s, amb1, amb2, cov = 5)
-    val b = contig(2, s.patch(3, "T", 1), amb1, amb2, cov = 5)
-    assert(run(a, b) == Set(a.id))
+    val b = contig(2, s.patch(2, "T", 1), amb1, amb2, cov = 5)
+    assert(canonical(b) < canonical(a))
+    assert(run(a, b) == Set(b.id))
   }
 
   test("pruneGroup honours the strict < threshold") {

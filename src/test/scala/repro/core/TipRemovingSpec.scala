@@ -21,8 +21,10 @@ class TipRemovingSpec extends SparkSpec {
     Node(id, PackedSeq.fromString("A" * len), es, 10L)
   }
 
-  def rdd(ns: Node*): RDD[(Long, Node)] =
-    spark.sparkContext.parallelize(ns.map(n => (n.id, n)), 2)
+  def rdd(ns: Node*): RDD[(Long, Node)] = rddIn(2, ns: _*)
+
+  def rddIn(partitions: Int, ns: Node*): RDD[(Long, Node)] =
+    spark.sparkContext.parallelize(ns.map(n => (n.id, n)), partitions)
 
   def surviving(ambs: Seq[Node], contigs: Seq[Node], tipLen: Int = 80): Map[Long, Node] =
     TipRemoving.run(rdd(ambs: _*), rdd(contigs: _*), k, tipLen).nodes.collect().toMap
@@ -124,6 +126,25 @@ class TipRemovingSpec extends SparkSpec {
     assert(!out.contains(t1.id) && !out.contains(t2.id))
     assert(out(10L).edges.map(_.nbr).toSet == Set(main1.id, main2.id))
     assert(out(10L).typ == VType.OneOne, "hub became unambiguous for round 2")
+  }
+
+  test("an <m-n> hub handles its shortest pending tip first, whatever the IDs or partitioning") {
+    // hub X: a 400-base arm on its Left, tips of 30 and 50 bases on its
+    // Right; both tips' REQUESTs reach X in superstep 1. Deleting the 30-base
+    // tip leaves X <1-1>, so the 50-base tip's REQUEST relays on and dies.
+    val x   = amb(10L)
+    val arm = contig(1, 400, left = None, right = Some(10L))
+    for ((j30, j50) <- Seq((2L, 3L), (3L, 2L)); parts <- Seq(1, 3)) {
+      val t30 = contig(j30, 30, left = Some(10L), right = None)
+      val t50 = contig(j50, 50, left = Some(10L), right = None)
+      val out = TipRemoving.run(rddIn(parts, x), rddIn(parts, arm, t30, t50), k, 80)
+        .nodes.collect().toMap
+      val clue = s"30-base tip ${t30.id}, 50-base tip ${t50.id}, $parts partitions"
+      assert(!out.contains(t30.id), clue)
+      assert(out.contains(t50.id) && out.contains(arm.id), clue)
+      assert(out(10L).edges.map(_.nbr).toSet == Set(arm.id, t50.id), clue)
+      assert(out(10L).typ == VType.OneOne, clue)
+    }
   }
 
   test("stats report a terminating Pregel run") {

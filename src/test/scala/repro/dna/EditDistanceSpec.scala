@@ -60,11 +60,6 @@ class EditDistanceSpec extends AnyFunSuite {
     assert(EditDistance.capped("A" * 100, "A" * 50, 5) > 5)
   }
 
-  test("within uses strict threshold as the paper's bubble rule") {
-    assert(EditDistance.within("ACGT", "ACGA", 2))   // dist 1 < 2
-    assert(!EditDistance.within("ACGT", "ATTT", 2))  // dist 2 not < 2
-  }
-
   test("capped handles empty strings") {
     assert(EditDistance.capped("", "", 3) == 0)
     assert(EditDistance.capped("ACG", "", 3) == 3)

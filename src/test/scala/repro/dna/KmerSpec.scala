@@ -48,6 +48,25 @@ class KmerSpec extends AnyFunSuite {
     }
   }
 
+  /** The reference reverse complement: one base at a time. */
+  def rcLoop(x: Long, k: Int): Long = {
+    var out = 0L
+    var i = 0
+    while (i < k) { out = (out << 2) | (((x >>> (2 * i)) & 3L) ^ 3L); i += 1 }
+    out
+  }
+
+  test("property: bit-parallel rc equals the per-base loop, for k in [1, 32]") {
+    val words = Gen.oneOf(Gen.long, Gen.long.map(_ | Long.MinValue)) // half with bit 63 set
+    val prop = Prop.forAllNoShrink(words, Gen.choose(1, 32)) { (x, k) =>
+      val y = x & Kmer.mask(k)
+      Kmer.rc(x, k) == rcLoop(x, k) && Kmer.rc(y, k) == rcLoop(y, k)
+    }
+    val params = Check.Parameters.default.withMinSuccessfulTests(2000).withInitialSeed(Seed(12))
+    val result = Check.check(params, prop)
+    assert(result.passed, result.status)
+  }
+
   test("rc is an involution on packed form") {
     val rnd = new Random(5)
     for (_ <- 1 to 100) {
@@ -105,11 +124,6 @@ class KmerSpec extends AnyFunSuite {
       assert(Kmer.unpack(Kmer.prefix(e), k) == s.substring(0, k))
       assert(Kmer.unpack(Kmer.suffix(e, k), k) == s.substring(1))
     }
-  }
-
-  test("slideRight drops the first base and appends") {
-    val x = Kmer.pack("ACGTA")
-    assert(Kmer.unpack(Kmer.slideRight(x, 5, Dna.code('T')), 5) == "CGTAT")
   }
 
   test("extend appends one base") {

@@ -11,7 +11,7 @@ class PregelRuntimeSpec extends SparkSpec {
 
   test("a program with no messages terminates after one superstep") {
     val vs = spark.sparkContext.parallelize((1L to 10L).map(i => (i, i)), 2)
-    val (out, stats) = PregelRuntime.run[Long, Long](vs, (ctx, id, v, msgs) => v)
+    val (out, stats) = PregelRuntime.run[Long](vs, (ctx, id, v, msgs) => v)
     assert(out.collect().toMap == (1L to 10L).map(i => i -> i).toMap)
     assert(stats.supersteps == 1)
     assert(stats.messages == 0)
@@ -20,10 +20,10 @@ class PregelRuntimeSpec extends SparkSpec {
   test("messages are delivered to arbitrary vertex IDs (not only edges)") {
     // every vertex sends its id to vertex 1 at superstep 0; vertex 1 sums
     val vs = spark.sparkContext.parallelize((1L to 20L).map(i => (i, 0L)), 4)
-    val (out, stats) = PregelRuntime.run[Long, Long](vs,
+    val (out, stats) = PregelRuntime.run[Long](vs,
       (ctx, id, v, msgs) => {
-        if (ctx.superstep == 0) { ctx.send(1L, id); v }
-        else v + msgs.sum
+        if (ctx.superstep == 0) { ctx.send(1L, 0, id, 0L); v }
+        else v + msgs.map(_.a).sum
       })
     assert(out.collect().toMap.apply(1L) == (1L to 20L).sum)
     assert(stats.messages == 20)
@@ -34,10 +34,10 @@ class PregelRuntimeSpec extends SparkSpec {
     // a chain relay: vertex i forwards a token to i+1; all halt in between
     val n = 6L
     val vs = spark.sparkContext.parallelize((1L to n).map(i => (i, false)), 2)
-    val (out, stats) = PregelRuntime.run[Boolean, Unit](vs,
+    val (out, stats) = PregelRuntime.run[Boolean](vs,
       (ctx, id, v, msgs) => {
-        if (ctx.superstep == 0 && id == 1L) { ctx.send(2L, ()); true }
-        else if (msgs.nonEmpty) { if (id < n) ctx.send(id + 1, ()); true }
+        if (ctx.superstep == 0 && id == 1L) { ctx.send(2L, 0, 0L, 0L); true }
+        else if (msgs.nonEmpty) { if (id < n) ctx.send(id + 1, 0, 0L, 0L); true }
         else v
       })
     assert(out.collect().forall(_._2))
@@ -47,9 +47,9 @@ class PregelRuntimeSpec extends SparkSpec {
 
   test("aggregator sums contributions and is visible next superstep") {
     val vs = spark.sparkContext.parallelize((1L to 5L).map(i => (i, 0L)), 2)
-    val (out, _) = PregelRuntime.run[Long, Long](vs,
+    val (out, _) = PregelRuntime.run[Long](vs,
       (ctx, id, v, msgs) => {
-        if (ctx.superstep == 0) { ctx.aggValue = id; ctx.send(id, 0L); v }
+        if (ctx.superstep == 0) { ctx.aggValue = id; ctx.send(id, 0, 0L, 0L); v }
         else ctx.agg // must see 1+2+3+4+5
       })
     assert(out.collect().forall(_._2 == 15L))
@@ -57,8 +57,8 @@ class PregelRuntimeSpec extends SparkSpec {
 
   test("stopWhen halts the run early") {
     val vs = spark.sparkContext.parallelize(Seq((1L, 0L)), 1)
-    val (out, stats) = PregelRuntime.run[Long, Long](vs,
-      (ctx, id, v, msgs) => { ctx.send(id, 0L); ctx.remainActive(); v + 1 },
+    val (out, stats) = PregelRuntime.run[Long](vs,
+      (ctx, id, v, msgs) => { ctx.send(id, 0, 0L, 0L); ctx.remainActive(); v + 1 },
       stopWhen = info => info.superstep >= 5)
     assert(stats.supersteps == 5)
     assert(out.collect().head._2 == 5L)
@@ -67,34 +67,35 @@ class PregelRuntimeSpec extends SparkSpec {
   test("maxSupersteps guards against non-termination") {
     val vs = spark.sparkContext.parallelize(Seq((1L, 0L)), 1)
     intercept[IllegalArgumentException] {
-      PregelRuntime.run[Long, Long](vs,
-        (ctx, id, v, msgs) => { ctx.send(id, 0L); v },
+      PregelRuntime.run[Long](vs,
+        (ctx, id, v, msgs) => { ctx.send(id, 0, 0L, 0L); v },
         maxSupersteps = 10)
     }
   }
 
   test("messages to unknown vertex IDs are dropped") {
     val vs = spark.sparkContext.parallelize(Seq((1L, 0L)), 1)
-    val (out, stats) = PregelRuntime.run[Long, Long](vs,
-      (ctx, id, v, msgs) => { if (ctx.superstep == 0) ctx.send(999L, 1L); v })
+    val (out, stats) = PregelRuntime.run[Long](vs,
+      (ctx, id, v, msgs) => { if (ctx.superstep == 0) ctx.send(999L, 0, 1L, 0L); v })
     assert(stats.messages == 1)
     assert(out.count() == 1)
   }
 
   test("paper Fig 1: list-ranking sum via request-respond pointer jumping") {
     // linked list v1 <- v2 <- ... <- v5, val = 1 each; expect sum(vi) = i
-    import PregelRuntimeSpec.{M, S}
+    import PregelRuntimeSpec.S
     val init = (1L to 5L).map(i => (i, S(1, 1, i - 1)))
     val vs = spark.sparkContext.parallelize(init, 2)
-    val (out, stats) = PregelRuntime.run[S, M](vs,
+    // request (0, requester, 0); response (1, sum, pred)
+    val (out, stats) = PregelRuntime.run[S](vs,
       (ctx, id, v, msgs) => {
         if (ctx.superstep % 2 == 0) {
           var s = v
-          msgs.foreach { m => if (m.kind == 1) s = s.copy(sum = s.sum + m.sum, pred = m.pred) }
-          if (s.pred != 0L) { ctx.send(s.pred, M(0, id, 0, 0)); ctx.remainActive() }
+          msgs.foreach { m => if (m.kind == 1) s = s.copy(sum = s.sum + m.a, pred = m.b) }
+          if (s.pred != 0L) { ctx.send(s.pred, 0, id, 0L); ctx.remainActive() }
           s
         } else {
-          msgs.foreach(m => if (m.kind == 0) ctx.send(m.from, M(1, id, v.sum, v.pred)))
+          msgs.foreach(m => if (m.kind == 0) ctx.send(m.a, 1, v.sum, v.pred))
           v
         }
       })
@@ -109,9 +110,9 @@ class PregelRuntimeSpec extends SparkSpec {
     */
   private def pingPong() = {
     val vs = spark.sparkContext.parallelize(Seq((1L, 0L), (2L, 0L)), 1)
-    PregelRuntime.run[Long, Long](vs,
+    PregelRuntime.run[Long](vs,
       (ctx, id, v, msgs) => {
-        if (v < 40) { ctx.send(3L - id, v + 1); v + 1 } else v
+        if (v < 40) { ctx.send(3L - id, 0, v + 1, 0L); v + 1 } else v
       })
   }
 
@@ -132,6 +133,26 @@ class PregelRuntimeSpec extends SparkSpec {
     persisted.filterNot(_.isCheckpointed).foreach(_.unpersist(blocking = true))
     assert(out.collect().toMap == Map(1L -> 40L, 2L -> 40L))
     persisted.foreach(_.unpersist(blocking = true))
+  }
+
+  test("each inbox arrives sorted by (kind, a, b), whatever the partitioning") {
+    // 20 vertices send signed triples to vertex 1 in an order that is not
+    // sorted; vertex 1 records its inbox as its state.
+    val rnd = new scala.util.Random(5)
+    val triples = Seq.fill(20)(Msg(rnd.nextInt(3), rnd.nextInt(7) - 3L, rnd.nextLong()))
+    assert(triples != triples.sorted)
+    def inboxOf(parts: Int): Seq[Msg] = {
+      val vs = spark.sparkContext.parallelize((1L to 20L).map(i => (i, Seq.empty[Msg])), parts)
+      val (out, _) = PregelRuntime.run[Seq[Msg]](vs,
+        (ctx, id, v, msgs) => {
+          if (ctx.superstep == 0) { val m = triples(id.toInt - 1); ctx.send(1L, m.kind, m.a, m.b); v }
+          else v ++ msgs
+        })
+      out.collect().toMap.apply(1L)
+    }
+    val recorded = inboxOf(1)
+    assert(recorded == triples.sorted)
+    for (parts <- Seq(3, 7)) assert(inboxOf(parts) == recorded, s"$parts input partitions")
   }
 
   /** Shuffle bytes written by the jobs `body` runs, summed by a
@@ -174,10 +195,10 @@ class PregelRuntimeSpec extends SparkSpec {
     }
     // Each vertex sends one Long to its successor in each of supersteps 0-4.
     def run(vs: RDD[(Long, Blob)]) =
-      PregelRuntime.run[Blob, Long](vs,
+      PregelRuntime.run[Blob](vs,
         (ctx, id, v, msgs) => {
-          if (ctx.superstep < 5) ctx.send(id % n + 1, id)
-          v.copy(sum = v.sum + msgs.sum)
+          if (ctx.superstep < 5) ctx.send(id % n + 1, 0, id, 0L)
+          v.copy(sum = v.sum + msgs.map(_.a).sum)
         })
     def finalStates(out: RDD[(Long, Blob)]) =
       out.collect().map { case (id, b) => id -> (b.payload.toSeq, b.sum) }.toMap
@@ -211,7 +232,6 @@ object PregelRuntimeSpec {
   /** A vertex state with a large payload that the program never changes. */
   final case class Blob(payload: Array[Byte], sum: Long)
 
-  /** List-ranking toy state/messages (top-level: Spark-serializable). */
+  /** List-ranking toy state (top-level: Spark-serializable). */
   final case class S(value: Long, sum: Long, pred: Long) // pred 0 = null
-  final case class M(kind: Int, from: Long, sum: Long, pred: Long)
 }
