@@ -71,6 +71,14 @@ object ContigLabeling {
     (pairs, endMsgs)
   }
 
+  /** A labeling's counters: the runtime's plus the two end-recognition
+    * supersteps and their messages, timed from `t0`. The per-superstep
+    * trace and the path stay the runtime's.
+    */
+  private def withEnds(stats: PregelStats, endMsgs: Long, t0: Long): PregelStats =
+    stats.copy(supersteps = stats.supersteps + 2, messages = stats.messages + endMsgs,
+               millis = System.currentTimeMillis() - t0)
+
   /** Label with bidirectional list ranking (+ S-V fallback for cycles). */
   def labelLR(nodes: RDD[(Long, Node)]): Result = {
     val t0 = System.currentTimeMillis()
@@ -87,10 +95,7 @@ object ContigLabeling {
         val (svLabels, svStats) = SvCC.run(adj)
         (lr.labels.union(svLabels), lr.stats + svStats)
       }
-    Result(labels, PregelStats(
-      stats.supersteps + 2, // the two end-recognition supersteps
-      stats.messages + endMsgs,
-      System.currentTimeMillis() - t0))
+    Result(labels, withEnds(stats, endMsgs, t0))
   }
 
   /** Label with the simplified S-V algorithm over the unambiguous subgraph
@@ -103,10 +108,7 @@ object ContigLabeling {
       n.edges.collect { case e if !amb.contains(e.nbr) => e.nbr }.toArray
     }
     val (labels, svStats) = SvCC.run(adj)
-    Result(labels, PregelStats(
-      svStats.supersteps + 2,
-      svStats.messages + endMsgs,
-      System.currentTimeMillis() - t0))
+    Result(labels, withEnds(svStats, endMsgs, t0))
   }
 
   def label(nodes: RDD[(Long, Node)], method: Method): Result = method match {

@@ -86,6 +86,14 @@ object ListRanking {
       stats: PregelStats,
   )
 
+  /** The PPA bound 2(⌈log₂ n⌉ + 1) + c (Yan et al., PVLDB 2014) with c = 1:
+    * an entry at distance d from its contig end flips in round ⌈log₂(d + 1)⌉,
+    * so a path of ℓ ≤ n vertices halts after ⌈log₂ ℓ⌉ rounds of 2
+    * supersteps plus the final one, and ⟨1-1⟩ cycles add the one round that
+    * flips nothing.
+    */
+  private def bound(n: Long): Int = 2 * (PregelRuntime.ceilLog2(n) + 1) + 1
+
   /** Run bidirectional list ranking from initialised predecessor pairs. */
   def run(pairs: RDD[(Long, LrState)]): LrResult = {
     // Cycle detection (see class doc): stop once an update round flips no
@@ -93,7 +101,7 @@ object ListRanking {
     val stop = (info: PregelRuntime.StepInfo) =>
       info.superstep % 2 == 1 && info.superstep >= 3 &&
         info.agg == 0 && info.activeVertices > 0
-    val (state, stats) = PregelRuntime.run(pairs, compute, stopWhen = stop)
+    val (state, stats) = PregelRuntime.run(pairs, compute, "list ranking", bound, stopWhen = stop)
     val cached = state.cache()
     LrResult(
       labels = cached.filter(_._2.done).mapValues(_.label),

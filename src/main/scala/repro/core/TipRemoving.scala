@@ -110,6 +110,13 @@ object TipRemoving {
 
   final case class Result(nodes: RDD[(Long, Node)], stats: PregelStats)
 
+  /** A generous linear bound, 4n + 16: a REQUEST or DELETE crosses one
+    * vertex per superstep and every DELETE kills the vertices it crosses.
+    * A bound per phase waits on dropping REQUESTs that can no longer end
+    * in a DELETE.
+    */
+  private def bound(n: Long): Int = math.min(4 * n + 16, Int.MaxValue.toLong).toInt
+
   /** Run tip removing; returns the surviving graph (relinked ambiguous
     * k-mers with tips' edges removed, plus surviving contig nodes).
     */
@@ -117,7 +124,7 @@ object TipRemoving {
           k: Int, tipLen: Int): Result = {
     val graph = relink(ambNodes, contigs).union(contigs)
     val init  = graph.mapValues(n => TipState(n, dead = false, requested = false))
-    val (state, stats) = PregelRuntime.run(init, compute(k, tipLen))
+    val (state, stats) = PregelRuntime.run(init, compute(k, tipLen), "tip removing", bound)
     Result(state.filter(!_._2.dead).mapValues(_.node), stats)
   }
 }

@@ -99,9 +99,10 @@ object Tables {
   def printLabelingTable(title: String, rows: Seq[LabelingRow]): String = {
     val sb = new StringBuilder
     sb ++= s"$title\n"
-    sb ++= f"${"Dataset"}%-8s ${"Vtx"}%9s ${"Unamb"}%9s |${"LR SS"}%6s ${"SV SS"}%6s |${"LR Msgs"}%12s ${"SV Msgs"}%12s |${"LR s"}%8s ${"SV s"}%8s ${"Path"}%9s\n"
+    def run(s: PregelStats) = if (s.serial) "driver" else "Spark"
+    sb ++= f"${"Dataset"}%-8s ${"Vtx"}%9s ${"Unamb"}%9s |${"LR SS"}%6s ${"SV SS"}%6s |${"LR Msgs"}%12s ${"SV Msgs"}%12s |${"LR s"}%8s ${"SV s"}%8s ${"Path"}%9s ${"LR/SV run"}%14s\n"
     rows.foreach { r =>
-      sb ++= f"${r.dataset}%-8s ${r.vertices}%9d ${r.unambiguous}%9d |${r.lr.supersteps}%6d ${r.sv.supersteps}%6d |${r.lr.messages}%12d ${r.sv.messages}%12d |${r.lr.millis / 1000.0}%8.2f ${r.sv.millis / 1000.0}%8.2f ${r.longestPath}%9d\n"
+      sb ++= f"${r.dataset}%-8s ${r.vertices}%9d ${r.unambiguous}%9d |${r.lr.supersteps}%6d ${r.sv.supersteps}%6d |${r.lr.messages}%12d ${r.sv.messages}%12d |${r.lr.millis / 1000.0}%8.2f ${r.sv.millis / 1000.0}%8.2f ${r.longestPath}%9d ${run(r.lr) + "/" + run(r.sv)}%14s\n"
     }
     sb.toString
   }

@@ -5,6 +5,7 @@ import org.scalacheck.Prop.propBoolean
 import org.scalacheck.rng.Seed
 import repro.SparkSpec
 import repro.dna.{Dna, ReadSim}
+import repro.pregel.{PregelRuntime, PregelStats}
 import repro.quality.Quast
 
 class AssemblerSpec extends SparkSpec {
@@ -116,6 +117,66 @@ class AssemblerSpec extends SparkSpec {
     val params = Check.Parameters.default.withMinSuccessfulTests(4).withInitialSeed(Seed(17))
     val result = Check.check(params, prop)
     assert(result.passed, result.status)
+  }
+
+  test("property: the driver and Spark paths give the same labels, tips and counts") {
+    // On random genomes with repeats and 1 % error reads, LR and S-V on both
+    // labeling rounds' graphs, and tip removing on the round-1 output, give
+    // the same labels or surviving nodes, supersteps and messages whichever
+    // path the runtime is forced onto. A circular genome adds LR's S-V
+    // fallback for <1-1> cycles.
+    def onPath[T](serial: Boolean)(body: => (T, PregelStats)): (T, (Int, Long)) =
+      PregelRuntime.forceSerial.withValue(Some(serial)) {
+        val (out, stats) = body
+        assert(stats.serial == serial)
+        (out, (stats.supersteps, stats.messages))
+      }
+    /** The run on the driver path and on the Spark path. */
+    def bothPaths[T](body: => (T, PregelStats)) = Seq(true, false).map(onPath(_)(body))
+    def agree(what: String, runs: Seq[(Any, (Int, Long))]): Prop =
+      (runs(0) == runs(1)) :| s"$what: the paths differ; (supersteps, messages) ${runs.map(_._2)}"
+    def labels(what: String, r: => ContigLabeling.Result) = agree(what, bothPaths {
+      val res = r
+      (res.labels.collect().toMap, res.stats)
+    })
+    def survivors(t: => TipRemoving.Result) = agree("tip removing", bothPaths {
+      val res = t
+      (res.nodes.collect().map { case (id, n) => id -> (n.seq.toString, n.edges.toSet) }.toMap,
+       res.stats)
+    })
+    val cases = for {
+      length     <- Gen.choose(3000, 6000)
+      repeats    <- Gen.choose(2, 6)
+      repeatLen  <- Gen.choose(40, 200)
+      genomeSeed <- Gen.choose(1L, 1000000L)
+      readSeed   <- Gen.choose(1L, 1000000L)
+    } yield (Dna.GenomeSpec(length, longRepeats = repeats, longRepeatLen = repeatLen), genomeSeed, readSeed)
+    val prop = Prop.forAllNoShrink(cases) { case (spec, genomeSeed, readSeed) =>
+      val g = Dna.genome(spec, genomeSeed)
+      val readSpec = ReadSim.ReadSpec(readLen = 60, nReads = g.length * 15L / 60, errRate = 0.01, nRate = 0.0005)
+      val res = Assembler.assemble(ReadSim.reads(spark, g, readSpec, readSeed), opts())
+      val (g1, g2) = (res.round1.graph, res.round2.get.graph)
+      val amb = g1.filter(_._2.typ == VType.MN).cache()
+      val bubbled = BubbleFiltering.filter(res.round1Contigs, opts().bubbleEditThr).cache()
+      Prop.all(
+        labels("round 1 LR", ContigLabeling.labelLR(g1)),
+        labels("round 1 S-V", ContigLabeling.labelSV(g1)),
+        survivors(TipRemoving.run(amb, bubbled, k, opts().tipLen)),
+        labels("round 2 LR", ContigLabeling.labelLR(g2)),
+        labels("round 2 S-V", ContigLabeling.labelSV(g2)))
+    }
+    val params = Check.Parameters.default.withMinSuccessfulTests(3).withInitialSeed(Seed(29))
+    val result = Check.check(params, prop)
+    assert(result.passed, result.status)
+
+    val circle = Dna.genome(Dna.GenomeSpec(120, longRepeats = 0, shortRepeats = 0), 8)
+    val cycle = TestGraphs.nodes(spark, TestGraphs.perfectReads(circle + circle.take(40), 40, k), k).cache()
+    assert(cycle.collect().forall(_._2.typ == VType.OneOne), "expected a pure cycle")
+    val fallback = bothPaths {
+      val res = ContigLabeling.labelLR(cycle)
+      (res.labels.collect().toMap, res.stats)
+    }
+    assert(fallback(0) == fallback(1), s"LR's S-V fallback: ${fallback.map(_._2)}")
   }
 
   test("final contigs carry sequences, not placeholders") {

@@ -59,8 +59,9 @@ class BubbleFilteringSpec extends SparkSpec {
   test("three-way bubble keeps only the highest-coverage member") {
     val s = "ACGTACGTACGTACGTACGT"
     val a = contig(1, s, amb1, amb2, cov = 50)
-    val b = contig(2, s.patch(3, "T", 1), amb1, amb2, cov = 5)
+    val b = contig(2, s.patch(2, "T", 1), amb1, amb2, cov = 5)
     val c = contig(3, s.patch(7, "C", 1), amb1, amb2, cov = 2)
+    assert(Set(a, b, c).map(_.seq.toString).size == 3, "three distinct branches")
     assert(run(a, b, c) == Set(a.id))
   }
 

@@ -25,6 +25,7 @@ class TablesSpec extends SparkSpec {
     assert(out.contains("23") && out.contains("39"))
     assert(out.contains("15973779") && out.contains("32961935"))
     assert(out.contains("Path") && out.contains("48213"))
+    assert(out.contains("Spark/Spark"))
   }
 
   test("printQualityTable renders reference metrics only when asked") {
