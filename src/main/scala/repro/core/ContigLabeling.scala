@@ -1,19 +1,19 @@
 package repro.core
 
-import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
-import repro.pregel.PregelStats
+import repro.pregel.{Msg, PregelRuntime, PregelStats, VertexContext}
 
 /** Operation ② — contig labeling (paper §IV-B).
   *
   * Marks every vertex on a maximal unambiguous path (types ⟨1⟩/⟨1-1⟩ only)
   * with a label unique to that path. Contig ends are recognised in two
-  * supersteps via the ⟨m-n⟩ broadcast (one `reduceByKey`); the
+  * supersteps on the BSP runtime (the ⟨m-n⟩ broadcast, [[ends]]); the
   * per-path label is then computed either with **bidirectional list
   * ranking** (LR; S-V fallback for ⟨1-1⟩ cycles) or with the **simplified
   * S-V** algorithm over the unambiguous subgraph. LR labels a non-cycle
   * contig with its smaller contig-end ID; S-V with the smallest vertex ID
-  * in the path — both unique per contig, as the paper notes.
+  * in the path — both unique per contig, as the paper notes. A labeling's
+  * stats are the end run's followed by the labeling runs'.
   */
 object ContigLabeling {
 
@@ -23,92 +23,67 @@ object ContigLabeling {
 
   final case class Result(labels: RDD[(Long, Long)], stats: PregelStats)
 
-  /** Contig-end recognition (supersteps 1-2): every ⟨m-n⟩ vertex sends its
-    * ID along each of its edges. Returns, for each vertex that received
-    * any, the set of its ambiguous neighbours' IDs, and the number of
-    * messages sent (the ⟨m-n⟩ vertices' edge total).
+  /** A vertex of contig-end recognition: an ⟨m-n⟩ vertex holds its
+    * neighbour at each edge, an unambiguous vertex its (Left, Right) pair.
     */
-  def ambiguousNeighbors(nodes: RDD[(Long, Node)]): (RDD[(Long, Set[Long])], Long) = {
-    val received = nodes
-      .flatMap { case (id, n) =>
-        if (n.typ == VType.MN) n.edges.map(e => (e.nbr, Set(id))) else Nil
-      }
-      .reduceByKey(new HashPartitioner(nodes.getNumPartitions), _ ++ _)
-    val msgCount = nodes
-      .filter(_._2.typ == VType.MN)
-      .map(_._2.edges.size.toLong)
-      .fold(0L)(_ + _)
-    (received, msgCount)
-  }
+  private final case class EndState(ambiguous: Boolean, nbrs: Array[Long])
 
-  /** The unambiguous vertices, each with its ambiguous neighbours' IDs
-    * (empty if none), and the end-recognition message count.
+  /** Superstep 0: every ⟨m-n⟩ vertex sends its ID along each of its edges,
+    * and every unambiguous vertex stays active. Superstep 1: an unambiguous
+    * vertex replaces each pair entry that names a sender with its own
+    * flipped ID.
     */
-  private def unambiguousWithEnds(nodes: RDD[(Long, Node)])
-      : (RDD[(Long, (Node, Set[Long]))], Long) = {
-    val (ambNbrs, endMsgs) = ambiguousNeighbors(nodes)
-    val joined = nodes
-      .filter(_._2.typ != VType.MN)
-      .leftOuterJoin(ambNbrs)
-      .mapValues { case (n, amb) => (n, amb.getOrElse(Set.empty[Long])) }
-    (joined, endMsgs)
-  }
-
-  /** Initial predecessor pairs (round 0 of Fig. 11) for unambiguous nodes:
-    * per side, the neighbour's ID, or the node's flipped ID where the path
-    * terminates (no edge, or an ambiguous neighbour).
-    */
-  def initialPairs(nodes: RDD[(Long, Node)]): (RDD[(Long, ListRanking.LrState)], Long) = {
-    val (unamb, endMsgs) = unambiguousWithEnds(nodes)
-    val pairs = unamb.map { case (id, (n, amb)) =>
-      def slot(side: Int): Long = n.edgesOn(side) match {
-        case Vector(e) if !amb.contains(e.nbr) => e.nbr
-        case _                                 => Ids.flip(id)
-      }
-      (id, ListRanking.LrState(slot(Side.Left), slot(Side.Right),
-                               slot(Side.Left), slot(Side.Right)))
+  private def endCompute(ctx: VertexContext, id: Long, st: EndState, msgs: Seq[Msg]): EndState =
+    if (st.ambiguous) {
+      if (ctx.superstep == 0) st.nbrs.foreach(ctx.send(_, 0, id, 0L))
+      st
+    } else if (ctx.superstep == 0) {
+      ctx.remainActive()
+      st
+    } else {
+      val senders = msgs.map(_.a)
+      st.copy(nbrs = st.nbrs.map(p => if (senders.contains(p)) Ids.flip(id) else p))
     }
-    (pairs, endMsgs)
-  }
 
-  /** A labeling's counters: the runtime's plus the two end-recognition
-    * supersteps and their messages, timed from `t0`. The per-superstep
-    * trace and the path stay the runtime's.
+  /** Contig-end recognition (the labeling's first two supersteps): the
+    * unambiguous vertices, each with its (Left, Right) pair — per side the
+    * neighbour, or the vertex's own flipped ID where the path ends (no
+    * edge, or an ⟨m-n⟩ neighbour) — on the run's partitioner, and the run's
+    * stats.
     */
-  private def withEnds(stats: PregelStats, endMsgs: Long, t0: Long): PregelStats =
-    stats.copy(supersteps = stats.supersteps + 2, messages = stats.messages + endMsgs,
-               millis = System.currentTimeMillis() - t0)
+  def ends(nodes: RDD[(Long, Node)]): (RDD[(Long, (Long, Long))], PregelStats) = {
+    val init = nodes.map { case (id, n) =>
+      if (n.typ == VType.MN) (id, EndState(ambiguous = true, n.edges.map(_.nbr).toArray))
+      else {
+        def slot(side: Int): Long = n.edgesOn(side).headOption.fold(Ids.flip(id))(_.nbr)
+        (id, EndState(ambiguous = false, Array(slot(Side.Left), slot(Side.Right))))
+      }
+    }
+    val (out, stats) = PregelRuntime.run(init, endCompute, "contig-end recognition", _ => 2)
+    (out.filter(!_._2.ambiguous).mapValues(st => (st.nbrs(0), st.nbrs(1))), stats)
+  }
 
   /** Label with bidirectional list ranking (+ S-V fallback for cycles). */
   def labelLR(nodes: RDD[(Long, Node)]): Result = {
-    val t0 = System.currentTimeMillis()
-    val (pairs, endMsgs) = initialPairs(nodes)
-    val lr = ListRanking.run(pairs.cache())
-    val cycles = lr.cycleVertices.cache()
-    val nCycles = cycles.count()
-    val (labels, stats) =
-      if (nCycles == 0) (lr.labels, lr.stats)
-      else {
-        // Cycle vertices' neighbours are both unambiguous and in the cycle;
-        // run S-V over their original neighbour pairs.
-        val adj = cycles.map { case (id, st) => (id, Array(st.init0, st.init1)) }
-        val (svLabels, svStats) = SvCC.run(adj)
-        (lr.labels.union(svLabels), lr.stats + svStats)
-      }
-    Result(labels, withEnds(stats, endMsgs, t0))
+    val (pairs, endStats) = ends(nodes)
+    val lr = ListRanking.run(pairs.mapValues { case (l, r) => ListRanking.LrState(l, r, l, r) })
+    if (!lr.hasCycles) Result(lr.labels, endStats + lr.stats)
+    else {
+      // Cycle vertices' neighbours are both unambiguous and in the cycle;
+      // run S-V over their original neighbour pairs.
+      val (svLabels, svStats) = SvCC.run(lr.cycleVertices.mapValues(st => Array(st.init0, st.init1)))
+      Result(lr.labels.union(svLabels), endStats + lr.stats + svStats)
+    }
   }
 
-  /** Label with the simplified S-V algorithm over the unambiguous subgraph
-    * (contig-end vertices drop their edges to ambiguous vertices first).
+  /** Label with the simplified S-V algorithm over the unambiguous subgraph:
+    * a vertex's neighbours are its pair's unflipped entries.
     */
   def labelSV(nodes: RDD[(Long, Node)]): Result = {
-    val t0 = System.currentTimeMillis()
-    val (unamb, endMsgs) = unambiguousWithEnds(nodes)
-    val adj = unamb.mapValues { case (n, amb) =>
-      n.edges.collect { case e if !amb.contains(e.nbr) => e.nbr }.toArray
-    }
-    val (labels, svStats) = SvCC.run(adj)
-    Result(labels, withEnds(svStats, endMsgs, t0))
+    val (pairs, endStats) = ends(nodes)
+    val (labels, svStats) =
+      SvCC.run(pairs.mapValues { case (l, r) => Array(l, r).filterNot(Ids.isFlipped) })
+    Result(labels, endStats + svStats)
   }
 
   def label(nodes: RDD[(Long, Node)], method: Method): Result = method match {

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.rdd.RDD
-import repro.pregel.{Msg, PregelRuntime, PregelStats, VertexContext}
+import repro.pregel.{Msg, PregelRuntime, PregelStats, StepStat, VertexContext}
 
 /** Bidirectional list ranking (paper §IV-B, Fig. 11).
   *
@@ -84,7 +84,13 @@ object ListRanking {
       labels: RDD[(Long, Long)],          // finished vertices: id -> contig label
       cycleVertices: RDD[(Long, LrState)], // still-active vertices (in cycles)
       stats: PregelStats,
-  )
+  ) {
+    /** Whether some vertex lies on a cycle: the run halts by itself only
+      * once every vertex is done, so it ended with vertices still active
+      * exactly when the cycle test stopped it.
+      */
+    def hasCycles: Boolean = stats.steps.lastOption.exists(_.activeVertices > 0)
+  }
 
   /** The PPA bound 2(⌈log₂ n⌉ + 1) + c (Yan et al., PVLDB 2014) with c = 1:
     * an entry at distance d from its contig end flips in round ⌈log₂(d + 1)⌉,
@@ -98,9 +104,8 @@ object ListRanking {
   def run(pairs: RDD[(Long, LrState)]): LrResult = {
     // Cycle detection (see class doc): stop once an update round flips no
     // new entry while vertices remain active — only cycles are left.
-    val stop = (info: PregelRuntime.StepInfo) =>
-      info.superstep % 2 == 1 && info.superstep >= 3 &&
-        info.agg == 0 && info.activeVertices > 0
+    val stop = (t: Seq[StepStat]) =>
+      t.size % 2 == 1 && t.size >= 3 && t.last.agg == 0 && t.last.activeVertices > 0
     val (state, stats) = PregelRuntime.run(pairs, compute, "list ranking", bound, stopWhen = stop)
     val cached = state.cache()
     LrResult(

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.rdd.RDD
-import repro.pregel.{Msg, PregelRuntime, PregelStats, VertexContext}
+import repro.pregel.{Msg, PregelRuntime, PregelStats, StepStat, VertexContext}
 
 /** The simplified Shiloach-Vishkin connected-components PPA (paper §II).
   *
@@ -71,17 +71,13 @@ object SvCC {
     * where label is the smallest vertex ID in the component.
     */
   def run(adj: RDD[(Long, Array[Long])]): (RDD[(Long, Long)], PregelStats) = {
-    val vertices = adj.map { case (id, ns) => (id, SvState(id, ns)) }
-    // Driver-side round-convergence tracker: a round's total change count is
-    // the hooking changes (phase 2, visible at info.superstep % 3 == 0) plus
-    // the shortcut changes (next phase 0, visible at % 3 == 1).
-    var lastHook = -1L
-    val stop = (info: PregelRuntime.StepInfo) => {
-      if (info.superstep % 3 == 0) { lastHook = info.agg; false }
-      else if (info.superstep % 3 == 1 && info.superstep >= 4 && lastHook >= 0)
-        lastHook + info.agg == 0
-      else false
-    }
+    val vertices = adj.mapPartitions(_.map { case (id, ns) => (id, SvState(id, ns)) },
+                                     preservesPartitioning = true)
+    // Round convergence: a round's total change count is the hooking
+    // changes (phase 2, the trace's second-to-last step once a phase 0 has
+    // ended it) plus the shortcut changes (that phase 0, its last step).
+    val stop = (t: Seq[StepStat]) =>
+      t.size % 3 == 1 && t.size >= 4 && t(t.size - 2).agg + t.last.agg == 0
     val (state, stats) = PregelRuntime.run(vertices, compute, "S-V", bound, stopWhen = stop)
     (state.mapValues(_.d), stats)
   }

@@ -14,15 +14,17 @@ import scala.util.DynamicVariable
 final case class StepStat(superstep: Int, activeVertices: Long, messages: Long, agg: Long,
                           millis: Long)
 
-/** Counters reported by a Pregel run — the quantities in the paper's
-  * Tables II/III: number of supersteps, total messages sent, wall time —
-  * plus the per-superstep trace and whether the run stepped on the driver.
+/** Counters reported by a Pregel run: its per-superstep trace, wall time
+  * and whether it stepped on the driver. The quantities in the paper's
+  * Tables II/III, supersteps and total messages, are derived from the
+  * trace, so they cannot disagree with it. `+` chains runs: the traces
+  * follow one another (each keeping its own superstep indices), the times
+  * add, and the sum is `serial` only if both runs were.
   */
-final case class PregelStats(supersteps: Int, messages: Long, millis: Long,
-                             steps: Seq[StepStat] = Nil, serial: Boolean = false) {
-  def +(o: PregelStats): PregelStats =
-    PregelStats(supersteps + o.supersteps, messages + o.messages, millis + o.millis,
-                steps ++ o.steps, serial && o.serial)
+final case class PregelStats(steps: Seq[StepStat], millis: Long, serial: Boolean) {
+  def supersteps: Int = steps.size
+  def messages: Long  = steps.map(_.messages).sum
+  def +(o: PregelStats): PregelStats = PregelStats(steps ++ o.steps, millis + o.millis, serial && o.serial)
 }
 
 /** The one message shape of every program on the runtime. */
@@ -96,8 +98,9 @@ final class VertexContext(val superstep: Int, val agg: Long,
   *    measures this path.
   *
   * Both paths give the same states, supersteps, messages and aggregator
-  * values, and `stopWhen` sees the same [[StepInfo]]s; [[PregelStats]]
-  * records which path ran and a [[StepStat]] per superstep.
+  * values, and `stopWhen` sees the same trace: after each superstep, the
+  * [[StepStat]]s recorded so far, the newest last. [[PregelStats]] records
+  * which path ran and that trace.
   *
   * Spark logs "RDD … was locally checkpointed … cannot be recomputed after
   * unpersisting" whenever a checkpointed RDD is unpersisted: by the
@@ -135,9 +138,6 @@ object PregelRuntime {
 
   /** ⌈log₂ n⌉, 0 for n ≤ 1: the unit of the PPA superstep bounds. */
   def ceilLog2(n: Long): Int = if (n <= 1) 0 else 64 - java.lang.Long.numberOfLeadingZeros(n - 1)
-
-  /** Per-superstep observation for early-stop hooks. */
-  final case class StepInfo(superstep: Int, activeVertices: Long, messages: Long, agg: Long)
 
   /** One partition's vertices after a superstep: IDs, states and halt
     * votes side by side, the messages they sent, and the partition's share
@@ -191,8 +191,9 @@ object PregelRuntime {
     * @param program       the program's name, for the bound's error message
     * @param maxSupersteps the superstep bound as a function of the vertex
     *                      count n; reaching it fails the run
-    * @param stopWhen      early-stop predicate evaluated after each superstep
-    *                      (e.g. list ranking's cycle detection)
+    * @param stopWhen      early-stop predicate on the trace so far, evaluated
+    *                      after each superstep (e.g. list ranking's cycle
+    *                      detection)
     * @return final states (partitioned by the run's partitioner) and run
     *         statistics
     */
@@ -201,7 +202,7 @@ object PregelRuntime {
       compute: (VertexContext, Long, V, Seq[Msg]) => V,
       program: String,
       maxSupersteps: Long => Int,
-      stopWhen: StepInfo => Boolean = _ => false,
+      stopWhen: Seq[StepStat] => Boolean = _ => false,
   ): (RDD[(Long, V)], PregelStats) = {
     val t0 = System.currentTimeMillis()
     val partitioner = new HashPartitioner(vertices.sparkContext.defaultParallelism)
@@ -217,7 +218,7 @@ object PregelRuntime {
     // Runs supersteps until every vertex has halted with no message in
     // flight, or stopWhen holds; advance(superstep, agg) steps every vertex
     // once and returns (messages, aggregator, active vertices).
-    val steps = ArrayBuffer.empty[StepStat]
+    var steps = Vector.empty[StepStat]
     def superstepLoop(advance: (Int, Long) => (Long, Long, Long)): Unit = {
       var done = false
       while (!done) {
@@ -226,16 +227,14 @@ object PregelRuntime {
           s"$program did not halt within its bound of $bound supersteps on n = $n vertices")
         val s0 = System.nanoTime()
         val (msgCount, aggSum, activeCount) = advance(superstep, steps.lastOption.fold(0L)(_.agg))
-        steps += StepStat(superstep, activeCount, msgCount, aggSum, (System.nanoTime() - s0) / 1000000L)
-        done = (msgCount == 0L && activeCount == 0L) ||
-          stopWhen(StepInfo(superstep + 1, activeCount, msgCount, aggSum))
+        steps :+= StepStat(superstep, activeCount, msgCount, aggSum, (System.nanoTime() - s0) / 1000000L)
+        done = (msgCount == 0L && activeCount == 0L) || stopWhen(steps)
       }
     }
     val out =
       if (serial) onDriver(placed, n, partitioner, compute, superstepLoop)
       else onSpark(placed, partitioner, compute, superstepLoop)
-    (out, PregelStats(steps.size, steps.map(_.messages).sum, System.currentTimeMillis() - t0,
-                      steps.toVector, serial))
+    (out, PregelStats(steps, System.currentTimeMillis() - t0, serial))
   }
 
   /** The driver path: fetch the placed partitions, step them as one, and

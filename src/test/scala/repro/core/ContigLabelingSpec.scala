@@ -6,12 +6,29 @@ import org.scalacheck.rng.Seed
 import repro.SparkSpec
 import repro.dna.Dna
 import repro.exp.Tables
+import repro.pregel.PregelRuntime
 
 class ContigLabelingSpec extends SparkSpec {
 
   val k = 15
 
+  import ContigLabeling.{LR, SV}
+
   def labelsOf(r: ContigLabeling.Result): Map[Long, Long] = r.labels.collect().toMap
+
+  /** The ⟨m-n⟩ vertices' edge total: the end-recognition message count. */
+  def mnEdges(ns: RDD[(Long, Node)]): Long =
+    ns.filter(_._2.typ == VType.MN).map(_._2.edges.size.toLong).fold(0L)(_ + _)
+
+  /** Runs a labeling, checking that its trace covers every superstep and
+    * opens with contig-end recognition's broadcast.
+    */
+  def label(ns: RDD[(Long, Node)], method: ContigLabeling.Method): ContigLabeling.Result = {
+    val r = ContigLabeling.label(ns, method)
+    assert(r.stats.steps.size == r.stats.supersteps)
+    assert(r.stats.steps.head.messages == mnEdges(ns), s"$method's first superstep")
+    r
+  }
 
   /** Random genomes: length, repeat count and repeat length drawn. */
   val genomes: Gen[(Dna.GenomeSpec, Long)] = for {
@@ -46,7 +63,7 @@ class ContigLabelingSpec extends SparkSpec {
   test("repeat-free genome: every unambiguous vertex gets one shared label (LR)") {
     val g  = Dna.genome(Dna.GenomeSpec(300, longRepeats = 0, shortRepeats = 0), 1)
     val ns = TestGraphs.nodes(spark, TestGraphs.perfectReads(g, 40, k), k).cache()
-    val lr = labelsOf(ContigLabeling.labelLR(ns))
+    val lr = labelsOf(label(ns, LR))
     assert(lr.size == ns.count())
     assert(lr.values.toSet.size == 1)
   }
@@ -56,14 +73,14 @@ class ContigLabelingSpec extends SparkSpec {
     val ns = TestGraphs.nodes(spark, TestGraphs.perfectReads(g, 40, k), k).cache()
     val ends = ns.filter(_._2.typ == VType.One).keys.collect()
     assert(ends.length == 2)
-    val lr = labelsOf(ContigLabeling.labelLR(ns))
+    val lr = labelsOf(label(ns, LR))
     assert(lr.values.toSet == Set(ends.min))
   }
 
   test("SV labels a path by its smallest vertex ID") {
     val g  = Dna.genome(Dna.GenomeSpec(200, longRepeats = 0, shortRepeats = 0), 3)
     val ns = TestGraphs.nodes(spark, TestGraphs.perfectReads(g, 40, k), k).cache()
-    val sv = labelsOf(ContigLabeling.labelSV(ns))
+    val sv = labelsOf(label(ns, SV))
     assert(sv.values.toSet == Set(ns.keys.collect().min))
   }
 
@@ -71,8 +88,8 @@ class ContigLabelingSpec extends SparkSpec {
     val g = Dna.genome(Dna.GenomeSpec(2000, longRepeats = 8, longRepeatLen = 100), 5)
     val ns = TestGraphs.nodes(spark, TestGraphs.perfectReads(g, 40, k), k).cache()
     assert(ns.filter(_._2.typ == VType.MN).count() > 0, "genome should have ambiguity")
-    val lr = labelsOf(ContigLabeling.labelLR(ns))
-    val sv = labelsOf(ContigLabeling.labelSV(ns))
+    val lr = labelsOf(label(ns, LR))
+    val sv = labelsOf(label(ns, SV))
     assert(TestGraphs.samePartition(lr, sv))
   }
 
@@ -80,43 +97,63 @@ class ContigLabelingSpec extends SparkSpec {
     val g = Dna.genome(Dna.GenomeSpec(1200, longRepeats = 5, longRepeatLen = 80), 6)
     val ns = TestGraphs.nodes(spark, TestGraphs.perfectReads(g, 40, k), k).cache()
     val uf = TestGraphs.unambiguousComponents(ns)
-    assert(TestGraphs.samePartition(labelsOf(ContigLabeling.labelLR(ns)), uf))
-    assert(TestGraphs.samePartition(labelsOf(ContigLabeling.labelSV(ns)), uf))
+    assert(TestGraphs.samePartition(labelsOf(label(ns, LR)), uf))
+    assert(TestGraphs.samePartition(labelsOf(label(ns, SV)), uf))
   }
 
   test("property: LR, S-V and union-find induce the same partition on random genomes") {
     forRandomGraphs(4, seed = 2018) { ns =>
       val uf = TestGraphs.unambiguousComponents(ns)
-      assert(TestGraphs.samePartition(labelsOf(ContigLabeling.labelLR(ns)), uf), "LR")
-      assert(TestGraphs.samePartition(labelsOf(ContigLabeling.labelSV(ns)), uf), "S-V")
+      assert(TestGraphs.samePartition(labelsOf(label(ns, LR)), uf), "LR")
+      assert(TestGraphs.samePartition(labelsOf(label(ns, SV)), uf), "S-V")
     }
   }
 
-  /** Every vertex receives exactly its ⟨m-n⟩ neighbours' IDs, and the
-    * message count is the ⟨m-n⟩ vertices' edge total.
+  /** On both runtime paths, contig-end recognition gives every unambiguous
+    * vertex, per side, its neighbour, or its own flipped ID where the
+    * neighbour is ⟨m-n⟩ or absent; it takes two supersteps and sends the
+    * ⟨m-n⟩ vertices' edge total.
     */
-  def assertExactEndDelivery(ns: RDD[(Long, Node)]): Unit = {
+  def assertExactEnds(ns: RDD[(Long, Node)]): Unit = {
     val nodes = ns.collect().toMap
     val mn = nodes.filter(_._2.typ == VType.MN).keySet
-    val (recv, msgCount) = ContigLabeling.ambiguousNeighbors(ns)
-    val got = recv.collect().toMap
-    for ((id, n) <- nodes) {
-      val expect = n.edges.map(_.nbr).filter(mn.contains).toSet
-      assert(got.getOrElse(id, Set.empty) == expect, s"vertex $id")
+    val expect = nodes.collect { case (id, n) if !mn.contains(id) =>
+      def entry(side: Int): Long = n.edgesOn(side) match {
+        case Vector(e) if !mn.contains(e.nbr) => e.nbr
+        case _                                => Ids.flip(id)
+      }
+      id -> (entry(Side.Left), entry(Side.Right))
     }
-    assert(got.keySet.subsetOf(nodes.keySet))
-    assert(msgCount == mn.toSeq.map(nodes(_).edges.size.toLong).sum)
+    for (serial <- Seq(true, false)) {
+      val (pairs, stats) = PregelRuntime.forceSerial.withValue(Some(serial))(ContigLabeling.ends(ns))
+      assert(pairs.collect().toMap == expect, s"serial = $serial")
+      assert(stats.serial == serial)
+      assert(stats.supersteps == 2, s"serial = $serial")
+      assert(stats.messages == mnEdges(ns), s"serial = $serial")
+    }
   }
 
-  test("ambiguousNeighbors delivers exactly the MN-adjacent IDs") {
+  test("ends flips exactly the MN-adjacent sides") {
     val g = Dna.genome(Dna.GenomeSpec(1200, longRepeats = 4, longRepeatLen = 80), 43)
     val ns = TestGraphs.nodes(spark, TestGraphs.perfectReads(g, 40, k), k).cache()
     assert(ns.filter(_._2.typ == VType.MN).count() > 0, "genome should have ambiguity")
-    assertExactEndDelivery(ns)
+    assertExactEnds(ns)
+
+    // <1-1> vertex 2 has both sides on <m-n> vertex 1 (parallel edges), and
+    // <1> vertex 3 hangs off 1's right side: 3 messages, both of 2's sides flip.
+    val hand = TestGraphs.manualGraph(spark, Map(1L -> k, 2L -> k, 3L -> k),
+      Seq((1L, Side.Right, 2L, Side.Left, 1L), (2L, Side.Right, 1L, Side.Left, 1L),
+          (1L, Side.Right, 3L, Side.Left, 1L)), k)
+    val byId = hand.collect().toMap
+    assert(byId(1L).typ == VType.MN && byId(2L).typ == VType.OneOne && byId(3L).typ == VType.One)
+    assert(mnEdges(hand) == 3)
+    assertExactEnds(hand)
+    assert(ContigLabeling.ends(hand)._1.collect().toMap ==
+             Map(2L -> (Ids.flip(2L), Ids.flip(2L)), 3L -> (Ids.flip(3L), Ids.flip(3L))))
   }
 
   test("property: contig-end recognition is exact on random genomes") {
-    forRandomGraphs(6, seed = 43)(assertExactEndDelivery)
+    forRandomGraphs(6, seed = 43)(assertExactEnds)
   }
 
   test("ambiguous vertices receive no label") {
@@ -124,9 +161,9 @@ class ContigLabelingSpec extends SparkSpec {
     val ns = TestGraphs.nodes(spark, TestGraphs.perfectReads(g, 40, k), k).cache()
     val amb = ns.filter(_._2.typ == VType.MN).keys.collect().toSet
     assert(amb.nonEmpty)
-    val lr = labelsOf(ContigLabeling.labelLR(ns))
+    val lr = labelsOf(label(ns, LR))
     assert(lr.keySet.intersect(amb).isEmpty)
-    val sv = labelsOf(ContigLabeling.labelSV(ns))
+    val sv = labelsOf(label(ns, SV))
     assert(sv.keySet.intersect(amb).isEmpty)
   }
 
@@ -136,7 +173,7 @@ class ContigLabelingSpec extends SparkSpec {
     val circ = g + g.substring(0, 40)
     val ns = TestGraphs.nodes(spark, TestGraphs.perfectReads(circ, 40, k), k).cache()
     assert(ns.collect().forall(_._2.typ == VType.OneOne), "expected a pure cycle")
-    val lr = labelsOf(ContigLabeling.labelLR(ns))
+    val lr = labelsOf(label(ns, LR))
     assert(lr.size == ns.count())
     assert(lr.values.toSet.size == 1)
   }
@@ -145,7 +182,7 @@ class ContigLabelingSpec extends SparkSpec {
     val g  = Dna.genome(Dna.GenomeSpec(600, longRepeats = 0, shortRepeats = 0), 9)
     val ns = TestGraphs.nodes(spark, TestGraphs.perfectReads(g, 40, k), k).cache()
     val n  = ns.count()
-    val res = ContigLabeling.labelLR(ns)
+    val res = label(ns, LR)
     val logN = 64 - java.lang.Long.numberOfLeadingZeros(n)
     assert(res.stats.supersteps <= 2 * (logN + 3) + 2,
            s"supersteps=${res.stats.supersteps} for n=$n")
@@ -156,21 +193,12 @@ class ContigLabelingSpec extends SparkSpec {
     assert(pathLen / 2 > res.stats.supersteps, s"ℓ=$pathLen vs LR supersteps")
   }
 
-  test("initialPairs flips terminal sides and keeps unambiguous neighbours") {
+  test("ends flips terminal sides and keeps unambiguous neighbours") {
+    // No <m-n> vertex: no message, and still two end supersteps.
     val g  = Dna.genome(Dna.GenomeSpec(150, longRepeats = 0, shortRepeats = 0), 10)
     val ns = TestGraphs.nodes(spark, TestGraphs.perfectReads(g, 40, k), k).cache()
-    val (pairs, _) = ContigLabeling.initialPairs(ns)
-    val byId = pairs.collect().toMap
-    val nodes = ns.collect().toMap
-    for ((id, st) <- byId) {
-      val n = nodes(id)
-      Seq((st.p0, Side.Left), (st.p1, Side.Right)).foreach { case (p, side) =>
-        n.edgesOn(side) match {
-          case Vector(e) => assert(p == e.nbr, s"vertex $id side $side")
-          case _         => assert(p == Ids.flip(id), s"vertex $id side $side")
-        }
-      }
-    }
+    assert(ns.filter(_._2.typ == VType.MN).isEmpty())
+    assertExactEnds(ns)
   }
 
   test("single-vertex contigs (flanked by ambiguity) label themselves") {
@@ -188,17 +216,17 @@ class ContigLabelingSpec extends SparkSpec {
     val byType = nodes.collect().toMap
     assert(byType(2L).typ == VType.OneOne)
     assert(byType(1L).typ == VType.MN && byType(3L).typ == VType.MN)
-    val lr = labelsOf(ContigLabeling.labelLR(nodes))
+    val lr = labelsOf(label(nodes, LR))
     assert(lr(2L) == 2L) // its own (smaller==only) end
-    val sv = labelsOf(ContigLabeling.labelSV(nodes))
+    val sv = labelsOf(label(nodes, SV))
     assert(sv(2L) == 2L)
   }
 
   test("LR sends fewer messages than SV on the same graph") {
     val g = Dna.genome(Dna.GenomeSpec(3000, longRepeats = 10, longRepeatLen = 80), 11)
     val ns = TestGraphs.nodes(spark, TestGraphs.perfectReads(g, 40, k), k).cache()
-    val lr = ContigLabeling.labelLR(ns)
-    val sv = ContigLabeling.labelSV(ns)
+    val lr = label(ns, LR)
+    val sv = label(ns, SV)
     lr.labels.count(); sv.labels.count()
     assert(lr.stats.messages < sv.stats.messages,
            s"LR=${lr.stats.messages} SV=${sv.stats.messages}")

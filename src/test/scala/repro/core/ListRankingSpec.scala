@@ -6,8 +6,14 @@ class ListRankingSpec extends SparkSpec {
 
   import ListRanking.LrState
 
-  def run(pairs: Seq[(Long, LrState)]): ListRanking.LrResult =
-    ListRanking.run(spark.sparkContext.parallelize(pairs, 2))
+  /** Runs list ranking, checking that the trace's cycle test agrees with
+    * the vertices left unfinished.
+    */
+  def run(pairs: Seq[(Long, LrState)]): ListRanking.LrResult = {
+    val res = ListRanking.run(spark.sparkContext.parallelize(pairs, 2))
+    assert(res.hasCycles == !res.cycleVertices.isEmpty())
+    res
+  }
 
   /** Pair chain like the paper's Fig 11: ids in path order; both outer
     * neighbours ambiguous, so both ends start flipped.

@@ -3,10 +3,17 @@ package repro.exp
 import repro.SparkSpec
 import repro.core.{Assembler, ContigLabeling, TestGraphs}
 import repro.dna.Datasets
-import repro.pregel.PregelStats
+import repro.pregel.{PregelStats, StepStat}
 import repro.quality.Quast
 
 class TablesSpec extends SparkSpec {
+
+  /** Spark-path stats of a run of `supersteps` supersteps whose first sends
+    * all `messages`.
+    */
+  def stats(supersteps: Int, messages: Long, millis: Long): PregelStats =
+    PregelStats(Seq.tabulate(supersteps)(i => StepStat(i, 0L, if (i == 0) messages else 0L, 0L, 0L)),
+                millis, serial = false)
 
   test("printTable1 renders one row per dataset") {
     val out = Tables.printTable1(Seq(
@@ -18,7 +25,7 @@ class TablesSpec extends SparkSpec {
 
   test("printLabelingTable renders stats columns") {
     val row = Tables.LabelingRow("BI",
-      PregelStats(23, 15973779L, 37200L), PregelStats(39, 32961935L, 43430L),
+      stats(23, 15973779L, 37200L), stats(39, 32961935L, 43430L),
       longestPath = 48213L, vertices = 671419L, unambiguous = 665408L)
     val out = Tables.printLabelingTable("T", Seq(row))
     assert(out.contains("BI"))
@@ -65,7 +72,8 @@ class TablesSpec extends SparkSpec {
   }
 
   test("PregelStats accumulate with +") {
-    val s = PregelStats(2, 10, 100) + PregelStats(3, 5, 50)
-    assert(s == PregelStats(5, 15, 150))
+    val (a, b) = (stats(2, 10, 100), stats(3, 5, 50))
+    val s = a + b
+    assert((s.supersteps, s.messages, s.millis, s.steps) == (5, 15, 150, a.steps ++ b.steps))
   }
 }

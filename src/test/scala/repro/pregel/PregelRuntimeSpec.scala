@@ -84,7 +84,7 @@ class PregelRuntimeSpec extends SparkSpec {
     val vs = spark.sparkContext.parallelize(Seq((1L, 0L)), 1)
     val (out, stats) = onBothPaths(PregelRuntime.run[Long](vs,
       (ctx, id, v, msgs) => { ctx.send(id, 0, 0L, 0L); ctx.remainActive(); v + 1 },
-      "toy", toy, stopWhen = info => info.superstep >= 5))
+      "toy", toy, stopWhen = t => t.size >= 5))
     assert(stats.supersteps == 5)
     assert(out.collect().head._2 == 5L)
   }
