@@ -52,13 +52,13 @@ object ContigLabeling {
     * stats.
     */
   def ends(nodes: RDD[(Long, Node)]): (RDD[(Long, (Long, Long))], PregelStats) = {
-    val init = nodes.map { case (id, n) =>
+    val init = nodes.mapPartitions(_.map { case (id, n) =>
       if (n.typ == VType.MN) (id, EndState(ambiguous = true, n.edges.map(_.nbr).toArray))
       else {
         def slot(side: Int): Long = n.edgesOn(side).headOption.fold(Ids.flip(id))(_.nbr)
         (id, EndState(ambiguous = false, Array(slot(Side.Left), slot(Side.Right))))
       }
-    }
+    }, preservesPartitioning = true)
     val (out, stats) = PregelRuntime.run(init, endCompute, "contig-end recognition", _ => 2)
     (out.filter(!_._2.ambiguous).mapValues(st => (st.nbrs(0), st.nbrs(1))), stats)
   }

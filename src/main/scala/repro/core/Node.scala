@@ -47,23 +47,21 @@ final case class Node(id: Long, seq: PackedSeq, edges: Vector[Edge], cov: Long)
 
   def edgesOn(side: Int): Vector[Edge] = edges.filter(_.mySide == side)
 
-  def hasSelfLoop: Boolean = edges.exists(_.nbr == id)
-
   /** Vertex type per §IV-A. A self-loop (repeat/palindromic (k+1)-mer) makes
-    * a vertex ambiguous: it cannot lie on a simple unambiguous path.
+    * a vertex ambiguous: it cannot lie on a simple unambiguous path. One
+    * pass over the edges counts each side and looks for a self-loop.
     */
   def typ: VType = {
-    if (hasSelfLoop) VType.MN
-    else {
-      val l = edgesOn(Side.Left).size
-      val r = edgesOn(Side.Right).size
-      (l, r) match {
-        case (0, 0) => VType.One // isolated (possible for contigs): dead-end
-        case (1, 0) | (0, 1) => VType.One
-        case (1, 1) => VType.OneOne
-        case _      => VType.MN
-      }
+    var left, right, i = 0
+    while (i < edges.length) {
+      val e = edges(i)
+      if (e.nbr == id) return VType.MN
+      if (e.mySide == Side.Left) left += 1 else right += 1
+      i += 1
     }
+    if (left + right <= 1) VType.One // includes isolated (possible for contigs): dead-end
+    else if (left == 1 && right == 1) VType.OneOne
+    else VType.MN
   }
 
   /** The single edge of a ⟨1⟩ node, if any (isolated nodes have none). */

@@ -66,11 +66,12 @@ final class VertexContext(val superstep: Int, val agg: Long,
   * runtime sorts each inbox by (kind, a, b), signed, so a vertex sees the
   * same sequence whatever the partition count or the shuffle's fetch order.
   *
-  * The run places the vertices once, with one
-  * `HashPartitioner(sc.defaultParallelism)` (whatever the input's
-  * partition count), and counts them (n). Each superstep then runs one
-  * per-partition step, the same function on both of the run's paths:
-  * build the partition's inbox, sort each vertex's messages and compute.
+  * The run places the vertices once, on [[partitioner]] (one
+  * `HashPartitioner(sc.defaultParallelism)`, whatever the input's
+  * partition count; a no-op for an input already on it), and counts them
+  * (n). Each superstep then runs one per-partition step, the same function
+  * on both of the run's paths: build the partition's inbox, sort each
+  * vertex's messages and compute.
   *
   *  - **Driver path** (n < `SerialBelow`, GPS's "finishing computations
   *    serially", Salihoglu & Widom, PVLDB 2014): the placed graph is
@@ -184,6 +185,12 @@ object PregelRuntime {
     new Part[V](prev.ids, states, halted, out, partAgg, active)
   }
 
+  /** The one partitioner of every run's vertices. An input already on it
+    * (the round-1 graph, which DBG construction builds on it, and each run's
+    * output) is placed without a shuffle.
+    */
+  def partitioner(sc: SparkContext): Partitioner = new HashPartitioner(sc.defaultParallelism)
+
   /** Run a Pregel program.
     *
     * @param vertices      initial vertex states
@@ -205,7 +212,7 @@ object PregelRuntime {
       stopWhen: Seq[StepStat] => Boolean = _ => false,
   ): (RDD[(Long, V)], PregelStats) = {
     val t0 = System.currentTimeMillis()
-    val partitioner = new HashPartitioner(vertices.sparkContext.defaultParallelism)
+    val partitioner = PregelRuntime.partitioner(vertices.sparkContext)
     val placed = vertices.partitionBy(partitioner).mapPartitions({ it =>
       val (ids, states) = it.toArray.unzip
       Iterator(new Part[V](ids, states, new Array[Boolean](ids.length),

@@ -1,7 +1,10 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test => Check}
+import org.scalacheck.rng.Seed
 import repro.{Oracle, SparkSpec}
 import repro.dna.{Dna, Kmer}
+import repro.pregel.PregelRuntime
 
 class DbgConstructionSpec extends SparkSpec {
 
@@ -25,33 +28,131 @@ class DbgConstructionSpec extends SparkSpec {
            DbgConstruction.edgeMers(Dna.rc(r), k).sorted)
   }
 
-  test("oracle: (k+1)-mer counting matches DuckDB GROUP BY") {
+  /** Every set slot of every built vertex, decoded into its canonical
+    * (k+1)-mer and coverage. Slot X * 4 + b appends base b to the vertex's
+    * canonical sequence (X = L) or to its reverse complement (X = H). The
+    * two ends of each edge must agree: a (k+1)-mer is decoded at exactly
+    * its canonical prefix and suffix k-mers, twice (once if it is its own
+    * reverse complement), always with the same coverage.
+    */
+  private def builtEdgeMers(reads: Seq[String], kk: Int, theta: Long): Map[Long, Long] = {
+    val decoded = DbgConstruction.build(TestGraphs.toDs(spark, reads), kk, theta).collect().toSeq
+      .flatMap { v =>
+        (0 until 8).filter(s => (v.bitmap & (1 << s)) != 0).zip(v.covs).map { case (s, cov) =>
+          val oriented = if (s / 4 == KmerAdj.L) v.id else Kmer.rc(v.id, kk)
+          (Kmer.canonical(Kmer.extend(oriented, s % 4), kk + 1), (v.id, cov))
+        }
+      }
+    decoded.groupBy(_._1).map { case (e, at) =>
+      val str  = Kmer.unpack(e, kk + 1)
+      val ends = Set(str.take(kk), str.drop(1)).map(x => Kmer.canonical(Kmer.pack(x), kk))
+      assert(at.map(_._2._1).toSet == ends, s"$str is decoded at the wrong vertices")
+      assert(at.size == (if (Kmer.rc(e, kk + 1) == e) 1 else 2), s"$str is decoded ${at.size} times")
+      val covs = at.map(_._2._2).distinct
+      assert(covs.size == 1, s"the ends of $str disagree on its coverage: $covs")
+      e -> covs.head
+    }
+  }
+
+  /** Reads from both strands, about a third of them with one 'N'; the
+    * first 200 bases are covered twice as deep, so theta = 1 keeps some
+    * (k+1)-mers and drops others.
+    */
+  private def noisyReads(seed: Int): Seq[String] = {
+    val g = Dna.genome(Dna.GenomeSpec(400), seed)
+    val rnd = new scala.util.Random(seed)
+    (TestGraphs.mixedStrandReads(g, 30, k) ++ TestGraphs.mixedStrandReads(g.take(200), 30, k))
+      .map(r => if (rnd.nextInt(3) == 0) r.updated(rnd.nextInt(r.length), 'N') else r)
+  }
+
+  /** DuckDB's count of the exploded `edgeMers` of `reads`, HAVING > theta,
+    * against the (k+1)-mers and coverages decoded from `build`'s vertices.
+    */
+  private def checkAgainstDuckDb(reads: Seq[String], theta: Long): Map[Long, Long] = {
     import spark.implicits._
     val kk = k // local copy: closures must not capture the suite
-    val reads = TestGraphs.toDs(spark,
-      TestGraphs.perfectReads(Dna.genome(Dna.GenomeSpec(400), 1), 30, kk))
-    val exploded = reads.flatMap(r => DbgConstruction.edgeMers(r, kk)).toDF("emer")
-    val counted = DbgConstruction.countEdgeMers(reads, k)
-      .withColumnRenamed("cnt", "cnt")
+    assert(reads.exists(_.contains('N')))
+    val exploded = TestGraphs.toDs(spark, reads).flatMap(r => DbgConstruction.edgeMers(r, kk)).toDF("emer")
+    val built = builtEdgeMers(reads, kk, theta)
     Oracle.assertEquivalent(
-      counted,
-      "SELECT emer, COUNT(*) AS cnt FROM mers GROUP BY emer",
+      built.toSeq.toDF("emer", "cnt"),
+      s"SELECT emer, COUNT(*) AS cnt FROM mers GROUP BY emer HAVING COUNT(*) > $theta",
       "mers" -> exploded)
+    built
+  }
+
+  test("oracle: (k+1)-mer counting matches DuckDB GROUP BY") {
+    assert(checkAgainstDuckDb(noisyReads(1), theta = 0).nonEmpty)
   }
 
   test("oracle: theta filter matches DuckDB HAVING") {
-    import spark.implicits._
-    import org.apache.spark.sql.functions._
-    val kk = k
-    val reads = TestGraphs.toDs(spark,
-      TestGraphs.perfectReads(Dna.genome(Dna.GenomeSpec(300), 2), 25, kk) ++
-      TestGraphs.perfectReads(Dna.genome(Dna.GenomeSpec(300), 2), 25, kk))
-    val exploded = reads.flatMap(r => DbgConstruction.edgeMers(r, kk)).toDF("emer")
-    val filtered = DbgConstruction.countEdgeMers(reads, k).filter(col("cnt") > 1)
-    Oracle.assertEquivalent(
-      filtered,
-      "SELECT emer, COUNT(*) AS cnt FROM mers GROUP BY emer HAVING COUNT(*) > 1",
-      "mers" -> exploded)
+    val reads = noisyReads(2)
+    val kept = checkAgainstDuckDb(reads, theta = 1)
+    assert(kept.nonEmpty && kept.size < builtEdgeMers(reads, k, theta = 0).size)
+  }
+
+  test("property: any read partitioning and order builds the vertices of a plain-Map recount") {
+    // k = 31: the poly-A (k+1)-mer packs to 0 and many others have bit 63
+    // set; every sample has more distinct (k+1)-mers than the counting
+    // table's initial positions.
+    val kk = 31
+    val theta = 1L
+    def vertexSet(vs: Iterable[KmerAdj.KmerVertex]): Set[(Long, Int, Seq[Long])] =
+      vs.map(v => (v.id, v.bitmap, v.covs.toSeq)).toSet
+    def built(reads: Seq[String], parts: Int): Set[(Long, Int, Seq[Long])] = {
+      val ds = spark.createDataset(spark.sparkContext.parallelize(reads, parts))(
+        org.apache.spark.sql.Encoders.STRING)
+      vertexSet(DbgConstruction.build(ds, kk, theta).collect())
+    }
+    val prop = Prop.forAllNoShrink(Gen.choose(0, 1 << 20)) { seed =>
+      val rnd = new scala.util.Random(seed)
+      val g = Dna.genome(Dna.GenomeSpec(4000 + rnd.nextInt(2000)), seed)
+      val sampled = Seq.fill(250) {
+        val start = rnd.nextInt(g.length - 100)
+        val r = g.substring(start, start + 100)
+        val s = if (rnd.nextBoolean()) Dna.rc(r) else r
+        if (rnd.nextInt(4) == 0) s.updated(rnd.nextInt(s.length), 'N') else s
+      }
+      val reads = sampled ++ Seq("A" * 40, "C" + "T" * 35 + "NA", "G" + "A" * 33)
+      val counts = reads.flatMap(DbgConstruction.edgeMers(_, kk)).groupBy(identity)
+        .map { case (e, es) => (e, es.size.toLong) }
+      val kept = counts.filter(_._2 > theta)
+      assert(kept.contains(0L), "the poly-A (k+1)-mer is kept")
+      assert(kept.keys.exists(_ < 0L), "some kept (k+1)-mer has bit 63 set")
+      assert(counts.size > (1 << LongTable.InitialBits), "more distinct (k+1)-mers than initial positions")
+      val recount = vertexSet(kept.toSeq
+        .flatMap { case (e, c) => KmerAdj.incidences(e, kk).map { case (v, s) => (v, (s, c)) } }
+        .groupBy(_._1)
+        .map { case (v, scs) => KmerAdj.fromSlots(v, scs.map(_._2)) })
+      Seq(1, 3, 7).forall(parts => built(reads, parts) == recount) &&
+        built(rnd.shuffle(reads), 3) == recount
+    }
+    val params = Check.Parameters.default.withMinSuccessfulTests(4).withWorkers(1).withInitialSeed(Seed(9))
+    val result = Check.check(params, prop)
+    assert(result.passed, result.status)
+  }
+
+  test("the round-1 graph keeps the runtime's partitioner: LR labeling shuffles nothing, merging only its groupByKey") {
+    val kk = 15
+    val g = Dna.genome(Dna.GenomeSpec(3000, longRepeats = 2, longRepeatLen = 80), 8)
+    val nodes = TestGraphs.nodes(spark, TestGraphs.mixedStrandReads(g, 60, kk), kk).cache()
+    nodes.count()
+    assert(nodes.partitioner.contains(PregelRuntime.partitioner(spark.sparkContext)))
+    assert(nodes.filter(_._2.typ == VType.MN).count() > 0)
+    val (labels, labelBytes) = shuffleBytesOf {
+      val lab = ContigLabeling.label(nodes, ContigLabeling.LR)
+      assert(lab.stats.serial)
+      val l = lab.labels.cache()
+      l.count()
+      l
+    }
+    assert(labelBytes == 0L)
+    val (contigs, mergeBytes) = shuffleBytesByStage(
+      ContigMerging.merge(nodes, labels, ContigMerging.Opts(kk)).count())
+    assert(contigs > 0)
+    assert(mergeBytes.size == 1, s"stages that wrote shuffle bytes: $mergeBytes")
+    labels.unpersist(blocking = true)
+    nodes.unpersist(blocking = true)
   }
 
   test("a repeat-free genome yields a path: all vertices <1> or <1-1>") {

@@ -1,10 +1,7 @@
 package repro.pregel
 
-import java.util.concurrent.ConcurrentHashMap
-import java.util.concurrent.atomic.AtomicLong
 import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerTaskEnd}
 import repro.SparkSpec
 
 class PregelRuntimeSpec extends SparkSpec {
@@ -231,33 +228,6 @@ class PregelRuntimeSpec extends SparkSpec {
       } finally sc.clearJobGroup()
     assert(stats.supersteps == 41)
     assert(sc.statusTracker.getJobIdsForGroup(group).length == 2)
-  }
-
-  /** Shuffle bytes written by the jobs `body` runs, summed by a
-    * `SparkListener` once a marker job's end event shows that every
-    * earlier event has been delivered.
-    */
-  private def shuffleBytesOf[T](body: => T): (T, Long) = {
-    val sc = spark.sparkContext
-    val bytes = new AtomicLong()
-    val ended = ConcurrentHashMap.newKeySet[Int]()
-    val listener = new SparkListener {
-      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
-        Option(e.taskMetrics).foreach(m => bytes.addAndGet(m.shuffleWriteMetrics.bytesWritten))
-      override def onJobEnd(e: SparkListenerJobEnd): Unit = ended.add(e.jobId)
-    }
-    sc.addSparkListener(listener)
-    try {
-      val result = body
-      val group = s"shuffle-bytes-marker-${System.nanoTime()}"
-      sc.setJobGroup(group, "listener drain marker")
-      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
-      val marker = sc.statusTracker.getJobIdsForGroup(group).max
-      val deadline = System.nanoTime() + 30L * 1000000000L
-      while (!ended.contains(marker) && System.nanoTime() < deadline) Thread.sleep(1)
-      assert(ended.contains(marker), "Spark listener bus did not drain within 30 s")
-      (result, bytes.get())
-    } finally sc.removeSparkListener(listener)
   }
 
   test("vertex state stays put: only messages are shuffled, on defaultParallelism partitions") {
