@@ -141,7 +141,7 @@ class AssemblerSpec extends SparkSpec {
     })
     def survivors(t: => TipRemoving.Result) = agree("tip removing", bothPaths {
       val res = t
-      (res.nodes.collect().map { case (id, n) => id -> (n.seq.toString, n.edges.toSet) }.toMap,
+      (res.nodes.collect().map { case (id, n) => id -> (n.seq.toString, TestGraphs.sortedEdges(n)) }.toMap,
        res.stats)
     })
     val cases = for {

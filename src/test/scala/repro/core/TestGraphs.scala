@@ -33,6 +33,11 @@ object TestGraphs {
             theta: Long = 0): RDD[(Long, Node)] =
     DbgConstruction.nodes(DbgConstruction.build(toDs(spark, reads), k, theta), k)
 
+  /** A node's edges in a fixed order, so that two edge lists compare
+    * equal exactly when they hold the same edges the same number of times.
+    */
+  def sortedEdges(n: Node): Seq[Edge] = n.edges.sortBy(e => (e.nbr, e.mySide, e.nbrSide, e.cov))
+
   /** Compare two labelings as partitions of the same vertex set. */
   def samePartition(a: Map[Long, Long], b: Map[Long, Long]): Boolean = {
     if (a.keySet != b.keySet) false

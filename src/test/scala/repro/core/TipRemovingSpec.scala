@@ -1,14 +1,17 @@
 package repro.core
 
 import org.apache.spark.rdd.RDD
+import org.scalacheck.{Gen, Prop, Test => Check}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.rng.Seed
 import repro.SparkSpec
-import repro.dna.PackedSeq
+import repro.dna.{Dna, PackedSeq, ReadSim}
 
 class TipRemovingSpec extends SparkSpec {
 
   val k = 15
 
-  /** Ambiguous k-mer node (edges filled by relink). */
+  /** Ambiguous k-mer node (contig edges are added by the relink). */
   def amb(id: Long, edges: (Long, Int, Int, Long)*): Node =
     Node(id, PackedSeq.fromString("A" * k),
       edges.map { case (nbr, ms, ns, cov) => Edge(nbr, ms, ns, cov) }.toVector, 0L)
@@ -34,7 +37,8 @@ class TipRemovingSpec extends SparkSpec {
                      (999L, Side.Left, Side.Right, 5)) // stale: merged-away k-mer
     val y = amb(11L, (10L, Side.Left, Side.Right, 5))
     val c = contig(1, 200, left = Some(10L), right = Some(11L))
-    val relinked = TipRemoving.relink(rdd(x, y), rdd(c)).collect().toMap
+    // no node is <1>, so the output is the relinked graph
+    val relinked = surviving(Seq(x, y), Seq(c))
     val nx = relinked(10L)
     assert(nx.edges.exists(_.nbr == 11L), "ambiguous-ambiguous edge kept")
     assert(!nx.edges.exists(_.nbr == 999L), "stale edge dropped")
@@ -43,6 +47,49 @@ class TipRemovingSpec extends SparkSpec {
     // the helper's left-end edge carries nbrSide=Right: x sees it on its Right
     assert(ce.get.mySide == Side.Right)
     assert(ce.get.nbrSide == Side.Left)
+  }
+
+  test("property: the relink equals a driver-side relink of the same round-1 graph") {
+    // With tipLen = 0 no node starts a REQUEST, so the run's output is the
+    // relinked ambiguous k-mers plus the contigs. The reference relinks with
+    // plain Maps: an ambiguous k-mer keeps its edges to ambiguous k-mers and
+    // gains, for each contig end edge naming it, the edge seen from its side.
+    // Edges compare as sorted sequences, so a lost or duplicated parallel
+    // edge fails.
+    def reference(amb: Map[Long, Node], contigs: Seq[Node]): Map[Long, Node] = {
+      val attached = contigs.flatMap(c => c.edges.map(e => e.nbr -> Edge(c.id, e.nbrSide, e.mySide, e.cov)))
+        .groupBy(_._1)
+      amb.map { case (id, n) =>
+        id -> n.copy(edges = n.edges.filter(e => amb.contains(e.nbr)) ++
+                             attached.getOrElse(id, Nil).map(_._2))
+      } ++ contigs.map(c => c.id -> c)
+    }
+    def view(g: Map[Long, Node]) = g.map { case (id, n) => id -> (n.seq.toString, TestGraphs.sortedEdges(n)) }
+    val cases = for {
+      length     <- Gen.choose(3000, 6000)
+      repeats    <- Gen.choose(2, 6)
+      repeatLen  <- Gen.choose(40, 200)
+      genomeSeed <- Gen.choose(1L, 1000000L)
+      readSeed   <- Gen.choose(1L, 1000000L)
+    } yield (Dna.GenomeSpec(length, longRepeats = repeats, longRepeatLen = repeatLen), genomeSeed, readSeed)
+    val opts = Assembler.Opts(k = k, theta = 1, errorCorrection = false)
+    val prop = Prop.forAllNoShrink(cases) { case (spec, genomeSeed, readSeed) =>
+      val g = Dna.genome(spec, genomeSeed)
+      val readSpec = ReadSim.ReadSpec(readLen = 60, nReads = g.length * 15L / 60, errRate = 0.01, nRate = 0.0005)
+      val res = Assembler.assemble(ReadSim.reads(spark, g, readSpec, readSeed), opts)
+      val amb = res.round1.graph.filter(_._2.typ == VType.MN).cache()
+      val bubbled = BubbleFiltering.filter(res.round1Contigs, 5).cache()
+      val want = reference(amb.collect().toMap, bubbled.values.collect().toSeq)
+      val run = TipRemoving.run(amb, bubbled, k, tipLen = 0)
+      val got = run.nodes.collect().toMap
+      val attached = want.values.exists(n => Ids.isKmer(n.id) && n.edges.exists(e => Ids.isContig(e.nbr)))
+      (attached :| "some ambiguous k-mer gains a contig edge") &&
+        ((view(got) == view(want)) :| "the relinked graphs differ") &&
+        ((run.stats.supersteps == 2) :| s"${run.stats.supersteps} supersteps, not push and relink")
+    }
+    val params = Check.Parameters.default.withMinSuccessfulTests(3).withInitialSeed(Seed(43))
+    val result = Check.check(params, prop)
+    assert(result.passed, result.status)
   }
 
   test("a short dangling contig (a tip) is deleted and the hub loses its edge") {
@@ -145,6 +192,31 @@ class TipRemovingSpec extends SparkSpec {
       assert(out(10L).edges.map(_.nbr).toSet == Set(arm.id, t50.id), clue)
       assert(out(10L).typ == VType.OneOne, clue)
     }
+  }
+
+  test("a REQUEST stops once its tip passes the threshold, whatever the chain's length") {
+    // hub X (<m-n>) with a main path of two long contigs and a tip of
+    // ambiguous k-mers: `len` <1-1> k-mers, then a <1> k-mer. The <1>
+    // k-mer's REQUEST grows by 1 per <1-1> k-mer and passes tipLen = 80 at
+    // the 66th, so the tip survives and the run stops there, for 150 and for
+    // 300 chain vertices.
+    def chainRun(len: Int) = {
+      val ids = 10L +: (100L to 100L + len)
+      val hub = amb(10L, (ids(1), Side.Right, Side.Left, 3))
+      val chain = (1 to len + 1).map { i =>
+        val prev = (ids(i - 1), Side.Left, Side.Right, 3L)
+        if (i <= len) amb(ids(i), prev, (ids(i + 1), Side.Right, Side.Left, 3L)) else amb(ids(i), prev)
+      }
+      val main1 = contig(1, 400, left = None, right = Some(10L))
+      val main2 = contig(2, 400, left = Some(10L), right = None)
+      assert(chain.init.forall(_.typ == VType.OneOne) && chain.last.typ == VType.One)
+      val res = TipRemoving.run(rdd(hub +: chain: _*), rdd(main1, main2), k, 80)
+      val out = res.nodes.collect().toMap
+      assert(out.keySet == ids.toSet + main1.id + main2.id, s"chain of $len")
+      assert(out(10L).edges.map(_.nbr).toSet == Set(ids(1), main1.id, main2.id), s"chain of $len")
+      res.stats.supersteps
+    }
+    assert(chainRun(150) == chainRun(300))
   }
 
   test("stats report a terminating Pregel run") {
